@@ -177,7 +177,10 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         holds = spectra.ap_extension_check(omega, d, args.K)
         report["holds"] = holds
         report["K"] = args.K
-        report["tiles"] = d_tiles(omega, int(d)) if d.denominator == 1 else None
+        # d-tiling is defined for total measure 1 only; report it as absent
+        # otherwise instead of failing a check that succeeded.
+        tiles_defined = d.denominator == 1 and omega.measure == 1
+        report["tiles"] = d_tiles(omega, int(d)) if tiles_defined else None
         return (OK if holds else REFUTED), report
 
     if name == "rank":

@@ -7,16 +7,27 @@ x*(five special fifth roots) plus -x*(two primitive cube roots) (type3).
 The interaction enumerations bound how many residue classes of a candidate
 spectrum can pairwise differ by type2/type3 vectors, via an exact clique
 computation on explicitly laid-out candidate vectors.
+
+The interaction graph is built from one row per vertex orbit.  Let G be the
+12 position permutations that fix index 1 and map {0, 2, 4} and {3, 5} to
+themselves.  Every candidate list holds all layouts of its multisets with
+the half turn pinned at index 1, so it is closed under G; the difference of
+two vertices commutes with G, because G fixes the zero-class shift
+(0, h, 0, h, 0, h); and the tag of a difference depends only on its
+multiset.  The tag is also unchanged by negation (complex conjugation keeps
+a sum vanishing and keeps each of the three shapes), so a pair read in the
+other orientation keeps its tag.  Hence the edge set is G-invariant, and the
+rows of one representative per G-orbit, with their G-images, give every
+edge.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction, cyclotomic_poly
 from .errors import ClassificationError
@@ -339,6 +350,55 @@ def _difference_exponents(
     )
 
 
+# G: the layout p sends v to (v[p[0]], ..., v[p[5]]).  Each p fixes index 1
+# and keeps {0, 2, 4} and {3, 5}, so it fixes the shift (0, h, 0, h, 0, h).
+_POSITION_SYMMETRIES: tuple[tuple[int, ...], ...] = tuple(
+    (even[0], 1, even[1], odd[0], even[2], odd[1])
+    for even in itertools.permutations((0, 2, 4))
+    for odd in itertools.permutations((3, 5))
+)
+
+
+def _adjacency(
+    vertices: list[tuple[int, ...]], cache: _TagCache, allowed: set[str]
+) -> list[int]:
+    """Bitset adjacency: i ~ j (i < j) iff the tag of d(v_i, v_j) is allowed.
+
+    The vertex list must be closed under G, so that the edge set is
+    G-invariant (see the module docstring).  The orbits are visited in index
+    order, each from its smallest index r.  For an edge {a, b}, let r stand
+    for whichever endpoint's orbit is visited first: then {a, b} is
+    g({r, j}) for some g in G and some j in r's orbit or a later one.  So
+    row r is tagged only against the indices that no earlier orbit covers
+    (all of them above r), and each edge found is set with all its G-images.
+    """
+    scale, half = cache.scale, cache.half
+    index = {v: i for i, v in enumerate(vertices)}
+    images = [
+        [index[tuple(v[k] for k in p)] for v in vertices]
+        for p in _POSITION_SYMMETRIES
+    ]
+    n = len(vertices)
+    adj = [0] * n
+    covered = bytearray(n)
+    for r in range(n):
+        if covered[r]:
+            continue
+        vr = vertices[r]
+        for j in range(r + 1, n):
+            if covered[j]:
+                continue
+            d = _difference_exponents(vr, vertices[j], scale, half)
+            if cache.tag(d) in allowed:
+                for img in images:
+                    a, b = img[r], img[j]
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        for img in images:
+            covered[img[r]] = 1
+    return adj
+
+
 def _max_clique(adj: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique on a bitset adjacency list."""
     if n == 0:
@@ -469,16 +529,14 @@ def _interaction(
     if not assumption_filter:
         allowed = allowed | {"type1"}
 
-    adj = [0] * n
-    edge_count = 0
-    for i in range(n):
-        vi = vertices[i]
-        for j in range(i + 1, n):
-            d = _difference_exponents(vi, vertices[j], scale, half)
-            if cache.tag(d) in allowed:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                edge_count += 1
+    # One row per G-orbit suffices (G: the 12 position permutations fixing
+    # index 1 and keeping {0, 2, 4} and {3, 5}).  The candidate lists hold
+    # every layout with the half turn at index 1, so they are closed under
+    # G; the difference commutes with G, which fixes (0, h, 0, h, 0, h); the
+    # tag depends only on the difference's multiset; and tag(-d) == tag(d),
+    # since conjugation keeps vanishing and each shape.
+    adj = _adjacency(vertices, cache, allowed)
+    edge_count = sum(mask.bit_count() for mask in adj) // 2
 
     clique_size, clique = _max_clique(adj, n)
     max_family = clique_size + 1  # the zero residue class always joins
@@ -513,12 +571,8 @@ def _interaction(
                     common = adj[i] & adj[j]
                     if common:
                         one_each = False
-        report = InteractionReport(
-            **{
-                **report.__dict__,
-                "types_can_mix": mixed_edge,
-                "at_most_one_per_type": one_each,
-            }
+        report = replace(
+            report, types_can_mix=mixed_edge, at_most_one_per_type=one_each
         )
     return report
 
@@ -587,12 +641,8 @@ def enumerate_type2_type2(
     """
     report = _interaction("type2-type2", order_bound, assumption_filter)
     count, witness = _canonical_array_pairs(order_bound)
-    return InteractionReport(
-        **{
-            **report.__dict__,
-            "pair_configuration_count": count,
-            "pair_configuration_witness": witness,
-        }
+    return replace(
+        report, pair_configuration_count=count, pair_configuration_witness=witness
     )
 
 

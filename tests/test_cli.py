@@ -106,6 +106,16 @@ def test_ap_subcommand(capsys):
     assert code == 0 and rep["holds"] and rep["tiles"]
 
 
+def test_ap_reports_no_tiling_verdict_off_measure_one(capsys):
+    # d-tiling needs total measure 1; [0, 2] still gets its AP verdict
+    code, rep = run_cli(
+        ["ap", "--omega", '{"pieces":[[["0","1"],["2","1"]]]}', "--difference", "1"],
+        capsys,
+    )
+    assert code == 0 and rep["holds"] is True
+    assert rep["tiles"] is None
+
+
 def test_rank_subcommand(capsys):
     omega = json.dumps(
         {

@@ -3,12 +3,20 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectile import vansum
+from spectile.cli import main
 from spectile.cyclotomic import RootOfUnity, cyclo_is_zero
 from spectile.intervals import IntervalUnion
 from spectile.vansum import (
+    _POSITION_SYMMETRIES,
+    _TagCache,
+    _difference_exponents,
     SignedRootVector,
     classify,
     enumerate_type2_type2,
@@ -21,6 +29,7 @@ from spectile.vansum import (
 
 F = Fraction
 W = F(1, 3)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def vec(*exps):
@@ -216,3 +225,133 @@ def test_weight6_counts_known_families():
     # cube-root blocks; every one of them classified
     assert rep.vanishing > 0
     assert rep.checked == sum(1 for _ in itertools.combinations_with_replacement(range(6), 5))
+
+
+# ---------------------------------------------------------------------------
+# the orbit-scan interaction graph against the all-pairs scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _all_pairs_tags(vertices, cache):
+    """Reference: tag every pair i < j; keep the vanishing ones."""
+    scale, half = cache.scale, cache.half
+    n = len(vertices)
+    tags = {}
+    for i in range(n):
+        vi = vertices[i]
+        for j in range(i + 1, n):
+            d = _difference_exponents(vi, vertices[j], scale, half)
+            tag = cache.tag(d)
+            if tag != "none":
+                tags[i, j] = tag
+    return tags
+
+
+def _all_pairs_adjacency(tags, n, allowed):
+    adj = [0] * n
+    edge_count = 0
+    for (i, j), tag in tags.items():
+        if tag in allowed:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            edge_count += 1
+    return adj, edge_count
+
+
+_ENUMERATIONS = {
+    "type2-type2": enumerate_type2_type2,
+    "type3-type3": enumerate_type3_type3,
+    "type3-type2": enumerate_type3_type2,
+}
+
+
+@pytest.fixture(scope="module")
+def reference_tags():
+    """All-pairs tags per vertex list, shared by both assumption settings."""
+    return {}
+
+
+@pytest.mark.parametrize("assumption_filter", [True, False])
+@pytest.mark.parametrize(
+    "kind, order",
+    [
+        ("type2-type2", 6),
+        ("type2-type2", 12),
+        ("type2-type2", 18),
+        ("type2-type2", 30),
+        ("type3-type3", 30),
+        ("type3-type2", 30),
+    ],
+)
+def test_orbit_scan_matches_all_pairs_reference(
+    kind, order, assumption_filter, reference_tags, monkeypatch
+):
+    enumerate_pair = _ENUMERATIONS[kind]
+    fast = enumerate_pair(order, assumption_filter)
+    orbit_scan = vansum._adjacency
+    reference_edges = []
+
+    def checked_adjacency(vertices, cache, allowed):
+        key = (cache.scale, tuple(vertices))
+        if key not in reference_tags:
+            reference_tags[key] = _all_pairs_tags(vertices, cache)
+        adj, edge_count = _all_pairs_adjacency(
+            reference_tags[key], len(vertices), allowed
+        )
+        assert orbit_scan(vertices, cache, allowed) == adj
+        reference_edges.append(edge_count)
+        return adj
+
+    monkeypatch.setattr(vansum, "_adjacency", checked_adjacency)
+    reference = enumerate_pair(order, assumption_filter)
+    assert reference_edges == [fast.edge_count]
+    assert reference == fast
+    assert reference.to_json_dict() == fast.to_json_dict()
+
+
+@st.composite
+def _exponent_tuples(draw):
+    """Six exponents mod L: random, or laid out in one of the three shapes."""
+    scale = draw(st.sampled_from([6, 12, 30, 60]))
+    half, third, fifth = scale // 2, scale // 3, scale // 5
+    x, y, z = (draw(st.integers(0, scale - 1)) for _ in range(3))
+    shapes = {
+        "type1": (x, x + half, y, y + half, z, z + half),
+        "type2": (x, x + third, x + 2 * third, y, y + third, y + 2 * third),
+        "random": tuple(draw(st.integers(0, scale - 1)) for _ in range(6)),
+    }
+    if scale % 30 == 0:
+        shapes["type3"] = tuple(x + k * fifth for k in range(1, 5)) + (
+            x + half + third,
+            x + half + 2 * third,
+        )
+    exps = draw(st.sampled_from(sorted(shapes.items())))[1]
+    layout = draw(st.permutations(range(6)))
+    return scale, tuple(exps[k] % scale for k in layout)
+
+
+@settings(deadline=None)
+@given(
+    _exponent_tuples(),
+    st.sampled_from(_POSITION_SYMMETRIES),
+    st.integers(0, 59),
+)
+def test_tag_is_invariant_under_g_rotation_and_negation(case, g, rotation):
+    scale, exps = case
+    variants = [
+        tuple(exps[k] for k in g),
+        tuple((e + rotation) % scale for e in exps),
+        tuple(-e % scale for e in exps),
+    ]
+    expected = _TagCache(scale).tag(exps)
+    for variant in variants:
+        cache = _TagCache(scale)  # fresh: no answer carried over from exps
+        assert cache.tag(variant) == expected
+        assert cache._tag_of(variant) == expected
+
+
+def test_vansum_enum_all_30_matches_golden_report(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["--output", str(out), "vansum-enum", "--pair", "all", "--order", "30"])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "vansum_enum_all_30.json").read_bytes()
