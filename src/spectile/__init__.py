@@ -2,13 +2,13 @@
 
 from .cyclotomic import (
     CycloSum,
-    Rational,
     RootOfUnity,
     as_fraction,
     cyclo_eval_float,
     cyclo_is_zero,
     cyclotomic_poly,
     root_of_unity,
+    vanishes,
 )
 from .errors import ClassificationError, NoGoodPairingError, PreconditionError
 from .intervals import (

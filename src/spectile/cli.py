@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from . import spectra, vansum, ztiling
 from .cyclotomic import RootOfUnity, as_fraction
 from .errors import PreconditionError
-from .intervals import IntervalUnion, d_tiles, in_zero_set, level_function
-from .jsonio import fraction_to_str, parse_fraction
+from .intervals import IntervalUnion, d_tiles, in_zero_set
+from .jsonio import fraction_to_str, json_field, parse_fraction
 from .spectra import FiniteSpectrumWindow, PeriodicSet
 from .ztiling import IntegerSet
 
@@ -202,7 +202,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
             vec = vansum.SignedRootVector(
                 tuple(
                     (int(sign), RootOfUnity(parse_fraction(e)))
-                    for sign, e in data["terms"]
+                    for sign, e in json_field(data, "terms")
                 )
             )
         tag = vansum.classify(vec)

@@ -1,10 +1,17 @@
 """Exact arithmetic for sums of roots of unity with rational coefficients.
 
 Roots are stored by their exponent: e^(2*pi*i*p/q) is kept as the reduced
-fraction p/q in [0, 1).  A sum of such roots is zero exactly when the
-polynomial with a term x^(e*N) for each root (N = common order) is divisible
-by the N-th cyclotomic polynomial; divisibility is tested by exact integer
-polynomial remainder, never by floating point.
+fraction p/q in [0, 1).  `vanishes` decides whether a sum is zero, over
+integer exponents and coefficients, never by floating point.  With
+zeta_n = e^(2*pi*i/n), p the smallest prime factor of n and m = n/p
+(de Bruijn 1953; Lam & Leung, J. Algebra 224, 2000):
+- if p divides m, then 1, zeta_n, ..., zeta_n^(p-1) is a basis of Q(zeta_n)
+  over Q(zeta_m), so each class of exponents mod p must vanish on its own;
+- otherwise zeta_n^k = zeta_p^a * zeta_m^b by the Chinese remainder theorem,
+  and since 1, zeta_p, ..., zeta_p^(p-2) is a basis over Q(zeta_m), the sum
+  vanishes iff the parts S_a collecting each a are all equal.
+Each step works on the terms alone: no tables, and memory bounded by the
+number of terms whatever the order.
 """
 
 from __future__ import annotations
@@ -16,13 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
-
-# Orders up to this bound get a cached monomial-residue table; larger orders
-# fall back to one-shot dense division (still exact, just slower).
-_TABLE_LIMIT = 1024
 
 
 def as_fraction(value: object) -> Fraction:
@@ -35,10 +36,13 @@ def as_fraction(value: object) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            return Fraction(int(value[0]), int(value[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
@@ -124,10 +128,7 @@ class CycloSum:
 
     @property
     def common_order(self) -> int:
-        n = 1
-        for _, root in self.terms:
-            n = math.lcm(n, root.order)
-        return n
+        return math.lcm(*(root.order for _, root in self.terms))
 
     def __add__(self, other: "CycloSum") -> "CycloSum":
         return CycloSum(self.terms + other.terms)
@@ -153,35 +154,19 @@ class CycloSum:
 
     __rmul__ = __mul__
 
-    def rotated(self, root: RootOfUnity) -> "CycloSum":
-        """Multiply every term by a fixed root of unity."""
-        return self * root
-
     def is_zero(self) -> bool:
-        if not self.terms:
-            return True
         n = self.common_order
-        if n <= _TABLE_LIMIT:
-            rows = _monomial_residues(n)
-            deg = len(rows[0])
-            acc = [Fraction(0)] * deg
-            for coeff, root in self.terms:
-                row = rows[int(root.exponent * n)]
-                for i in range(deg):
-                    if row[i]:
-                        acc[i] += coeff * row[i]
-            return not any(acc)
-        return _dense_remainder_is_zero(self, n)
+        den = math.lcm(*(c.denominator for c, _ in self.terms))
+        coeffs = {
+            r.exponent.numerator * (n // r.order): c.numerator * (den // c.denominator)
+            for c, r in self.terms
+        }
+        return vanishes(coeffs, n)
 
     def eval_complex(self) -> complex:
         return sum(
             (float(c) * r.complex_value() for c, r in self.terms), complex(0)
         )
-
-
-def _proper_divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    return out
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -213,46 +198,52 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _proper_divisors(n):
-        poly = _poly_div_exact(poly, cyclotomic_poly(d))
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=128)
-def _monomial_residues(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_n for k in range(n), as integer coefficient tuples."""
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    cur = [0] * deg
-    cur[0] = 1
-    rows = []
-    for _ in range(n):
-        rows.append(tuple(cur))
-        carry = cur[deg - 1]
-        cur = [0] + cur[:-1]
-        if carry:
-            for i in range(deg):
-                cur[i] -= carry * phi[i]
-    return tuple(rows)
+def vanishes(coeffs: dict[int, int], n: int) -> bool:
+    """True iff the sum of c * zeta_n^k over the items (k, c) is zero.
+
+    Exponents are reduced mod n; see the module docstring for the method.
+    """
+    terms: dict[int, int] = {}
+    for k, c in coeffs.items():
+        k %= n
+        terms[k] = terms.get(k, 0) + c
+    return _vanishes({k: c for k, c in terms.items() if c}, n, 2)
 
 
-def _dense_remainder_is_zero(s: CycloSum, n: int) -> bool:
-    den = 1
-    for c, _ in s.terms:
-        den = math.lcm(den, c.denominator)
-    poly = [0] * n
-    for c, root in s.terms:
-        poly[int(root.exponent * n)] += int(c * den)
-    phi = cyclotomic_poly(n)
-    dd = len(phi) - 1
-    for i in range(n - 1, dd - 1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        for j in range(dd + 1):
-            poly[i - dd + j] -= c * phi[j]
-        poly[i] = 0
-    return not any(poly)
+def _vanishes(terms: dict[int, int], n: int, p: int) -> bool:
+    # terms: distinct exponents in range(n), nonzero coefficients; no prime
+    # below p divides n.
+    if len(terms) <= 1:
+        return not terms
+    while n % p:
+        p += 1
+        if p * p > n:
+            p = n
+    m = n // p
+    parts: dict[int, dict[int, int]] = {}
+    if m % p == 0:
+        for k, c in terms.items():
+            parts.setdefault(k % p, {})[k // p] = c
+        return all(_vanishes(part, m, p) for part in parts.values())
+    u, v = pow(m, -1, p), pow(p, -1, m)
+    for k, c in terms.items():
+        parts.setdefault(k * u % p, {})[k * v % m] = c
+    if len(parts) < p:
+        # An empty part is zero, so every part must vanish alone.
+        return all(_vanishes(part, m, p + 1) for part in parts.values())
+    # All parts are equal iff each minus the smallest one vanishes.
+    ref = min(parts.values(), key=len)
+    for part in parts.values():
+        diff = {b: part.get(b, 0) - ref.get(b, 0) for b in part.keys() | ref.keys()}
+        if not _vanishes({b: d for b, d in diff.items() if d}, m, p + 1):
+            return False
+    return True
 
 
 def cyclo_is_zero(s: CycloSum) -> bool:

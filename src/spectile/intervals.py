@@ -14,11 +14,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction
 from .errors import PreconditionError
-from .jsonio import fraction_to_pair, pair_to_fraction
+from .jsonio import fraction_to_pair, json_field, pair_to_fraction
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class IntervalUnion:
         return IntervalUnion(
             tuple(
                 (pair_to_fraction(a), pair_to_fraction(r))
-                for a, r in data["pieces"]
+                for a, r in json_field(data, "pieces")
             )
         )
 

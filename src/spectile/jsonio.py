@@ -19,7 +19,14 @@ def fraction_to_pair(x: Fraction) -> list[str]:
 def pair_to_fraction(pair: object) -> Fraction:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [num, den] pair, got {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    return as_fraction(pair)
+
+
+def json_field(data: object, key: str) -> object:
+    """data[key] of a decoded JSON object, or a ValueError naming the field."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -10,16 +10,15 @@ undecided otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction
 from .errors import NoGoodPairingError, PreconditionError
 from .intervals import IntervalUnion, boundary_sum, in_zero_set, unit_interval_factor
-from .jsonio import fraction_to_pair, fraction_to_str, pair_to_fraction
+from .jsonio import fraction_to_pair, fraction_to_str, json_field, pair_to_fraction
 from .ztiling import IntegerSet
 
 
@@ -78,8 +77,8 @@ class PeriodicSet:
     @staticmethod
     def from_json_dict(data: dict) -> "PeriodicSet":
         return PeriodicSet(
-            pair_to_fraction(data["period"]),
-            tuple(pair_to_fraction(c) for c in data["cosets"]),
+            pair_to_fraction(json_field(data, "period")),
+            tuple(pair_to_fraction(c) for c in json_field(data, "cosets")),
         )
 
 

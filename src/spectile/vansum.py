@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import CycloSum, RootOfUnity, as_fraction, cyclotomic_poly
+from .cyclotomic import CycloSum, RootOfUnity, as_fraction, cyclotomic_poly, vanishes
 from .errors import ClassificationError
 from .intervals import IntervalUnion
 from .jsonio import fraction_to_str
@@ -117,9 +118,6 @@ class SignedRootVector:
 
     def value(self) -> CycloSum:
         return CycloSum.from_exponents(self.value_exponents())
-
-    def rotated(self, root: RootOfUnity) -> "SignedRootVector":
-        return SignedRootVector(tuple((s, r * root) for s, r in self.terms))
 
 
 @dataclass(frozen=True)
@@ -238,9 +236,13 @@ class _TagCache:
         self._cache: dict[tuple[int, ...], str] = {}
 
     def _canonical(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        # Rotations of the sorted exponents are already sorted, except those
+        # starting at a repeated value, which permute a sorted one and so
+        # never lower the min.
         L = self.scale
+        s = sorted(exps)
         return min(
-            tuple(sorted((e - r) % L for e in exps)) for r in set(exps)
+            tuple((e - s[i]) % L for e in s[i:] + s[:i]) for i in range(len(s))
         )
 
     def tag(self, exps: tuple[int, ...]) -> str:
@@ -253,25 +255,20 @@ class _TagCache:
         return result
 
     def _tag_of(self, exps: tuple[int, ...]) -> str:
-        L = self.scale
-        total = CycloSum.from_exponents(Fraction(e, L) for e in exps)
-        if not total.is_zero():
-            result = "none"
-        else:
-            half, third = self.half, self.third
-            if any(
-                all((exps[i] - exps[j]) % L == half for i, j in part)
-                for part in _PAIR_PARTITIONS
-            ):
-                result = "type1"
-            elif any(
-                self._zero_triple(exps, left) and self._zero_triple(exps, right)
-                for left, right in _TRIPLE_SPLITS
-            ):
-                result = "type2"
-            else:
-                result = "type3"
-        return result
+        L, half = self.scale, self.half
+        if not vanishes(Counter(exps), L):
+            return "none"
+        if any(
+            all((exps[i] - exps[j]) % L == half for i, j in part)
+            for part in _PAIR_PARTITIONS
+        ):
+            return "type1"
+        if any(
+            self._zero_triple(exps, left) and self._zero_triple(exps, right)
+            for left, right in _TRIPLE_SPLITS
+        ):
+            return "type2"
+        return "type3"
 
     def _zero_triple(self, exps: tuple[int, ...], idx: tuple[int, ...]) -> bool:
         L, third = self.scale, self.third

@@ -10,13 +10,12 @@ a single three-piece tile.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import as_fraction
-from .jsonio import fraction_to_pair
+from .jsonio import fraction_to_pair, json_field
 
 DEFAULT_PERIOD_CAP = 4096
 
@@ -48,7 +47,7 @@ class IntegerSet:
 
     @staticmethod
     def from_json_dict(data: dict) -> "IntegerSet":
-        return IntegerSet(tuple(int(x) for x in data["elements"]))
+        return IntegerSet(tuple(int(x) for x in json_field(data, "elements")))
 
 
 def _as_integer_set(a: object) -> IntegerSet:

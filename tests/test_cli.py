@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -166,6 +167,36 @@ def test_malformed_json_reports_position(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert "line" in out and "column" in out
+
+
+_UNIT = '{"pieces":[[["0","1"],["1","1"]]]}'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["zeroset", "--omega", "{}", "--frequency", "1"],
+        ["zeroset", "--omega", '{"pieces":[[["1","0"],["1","1"]]]}', "--frequency", "1"],
+        ["zeroset", "--omega", _UNIT, "--frequency", "1/0"],
+        ["tile-search", "--set", "{}"],
+        ["ortho", "--omega", _UNIT, "--spectrum", '{"period":["1","1"]}'],
+        ["vansum-classify", "--vector", "{}"],
+    ],
+    ids=["no-pieces", "zero-denominator-pair", "zero-denominator-string",
+         "no-elements", "no-cosets", "no-terms"],
+)
+def test_malformed_input_is_a_clean_input_error(args, capsys):
+    code, rep = run_cli(args, capsys)
+    assert code == 2
+    assert "error" in rep
+
+
+def test_zeroset_at_a_large_prime_order(capsys):
+    omega = '{"pieces":[[["0","1"],["1","2"]],[["2","1"],["1","3"]]]}'
+    start = time.monotonic()
+    code, rep = run_cli(["zeroset", "--omega", omega, "--frequency", "1/100003"], capsys)
+    assert time.monotonic() - start < 5
+    assert code == 1 and rep["inZeroSet"] is False
 
 
 def test_reports_are_deterministic(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from spectile.cyclotomic import (
     cyclo_is_zero,
     cyclotomic_poly,
     root_of_unity,
+    vanishes,
 )
 
 
@@ -148,9 +150,8 @@ def test_exact_zero_agrees_with_float_oracle():
             assert approx > 1e-9, s
 
 
-def test_big_order_fallback_path():
-    # order above the residue-table limit exercises dense remainder division
-    n = 1031 * 2  # 2062 > table limit
+def test_order_twice_a_large_prime():
+    # common order 2062 = 2 * 1031
     s = CycloSum.from_exponents(
         [Fraction(1, 1031), Fraction(1, 2) + Fraction(1, 1031)]
     )
@@ -167,3 +168,78 @@ def test_cyclosum_algebra():
     prod = a * b
     assert prod.common_order == 3
     assert cyclo_is_zero(a + b)  # 1 + w + w^2
+
+
+# Orders up to 2000 (plus 2310 = 2*3*5*7*11): prime powers, orders with a
+# square factor, squarefree orders and primes.
+_ORACLE_ORDERS = [
+    2, 4, 8, 9, 25, 27, 32, 49, 81, 121, 125, 243, 343, 625, 729, 1024, 1331,
+    12, 18, 20, 36, 72, 100, 180, 360, 450, 1000, 1800, 2000,
+    6, 30, 105, 210, 1155, 2310, 97, 1009, 1999,
+]
+
+
+def _prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _oracle_vanishes(coeffs, n):
+    """Exact: sympy's remainder of sum c*x^k by the n-th cyclotomic polynomial."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.densebasic import dup_strip
+
+    x = sympy.Symbol("x")
+    phi = [int(c) for c in sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()]
+    poly = [0] * n
+    for k, c in coeffs.items():
+        poly[n - 1 - k % n] += c
+    return not dup_rem(dup_strip(poly), phi, sympy.ZZ)
+
+
+def _seeded_sums(rng, n):
+    """A random sum, and a sum of rotated full prime orbits plus noise."""
+    yield {rng.randrange(n): rng.randint(-5, 5) for _ in range(rng.randint(1, 7))}
+    planted = {}
+    for _ in range(rng.randint(1, 3)):
+        p = rng.choice([q for q in _prime_factors(n) if q <= 31] or [n])
+        rot, c = rng.randrange(n), rng.choice([-3, -2, -1, 1, 2, 3])
+        for j in range(p):
+            k = (rot + j * (n // p)) % n
+            planted[k] = planted.get(k, 0) + c
+    yield planted
+    k = rng.randrange(n)
+    yield {**planted, k: planted.get(k, 0) + 1}
+
+
+@pytest.mark.parametrize("n", _ORACLE_ORDERS)
+def test_vanishes_agrees_with_sympy_remainder(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        for coeffs in _seeded_sums(rng, n):
+            assert vanishes(coeffs, n) == _oracle_vanishes(coeffs, n), (n, coeffs)
+
+
+def test_vanishes_reduces_exponents_and_merges_terms():
+    assert vanishes({}, 7)
+    assert vanishes({0: 0}, 1)
+    assert not vanishes({5: 2}, 1)
+    assert vanishes({3: 1, 3 + 6: -1}, 6)  # 3 and 9 are one exponent mod 6
+    assert vanishes({-1: 1, 1: 1, 0: 1}, 3)
+
+
+def test_is_zero_at_order_1e5_uses_little_memory():
+    # 100003 is prime; 2 * 100003 also exercises the composite step
+    for n in (100003, 2 * 100003):
+        s = CycloSum.from_pairs(
+            [(Fraction(1, 3), RootOfUnity(Fraction(k, n))) for k in (1, 7, 50000)]
+            + [(Fraction(-2, 5), RootOfUnity(Fraction(1, 2)))]
+        )
+        tracemalloc.start()
+        try:
+            result = s.is_zero()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is False
+        assert peak < 1_000_000

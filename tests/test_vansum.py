@@ -350,6 +350,17 @@ def test_tag_is_invariant_under_g_rotation_and_negation(case, g, rotation):
         assert cache._tag_of(variant) == expected
 
 
+@given(
+    st.sampled_from([6, 12, 30, 60]),
+    st.lists(st.integers(0, 11), min_size=6, max_size=6),
+)
+def test_canonical_key_matches_sorting_every_rotation(scale, exps):
+    # small exponents give repeated values, whose rotations are not sorted
+    exps = tuple(e % scale for e in exps)
+    reference = min(tuple(sorted((e - r) % scale for e in exps)) for r in set(exps))
+    assert _TagCache(scale)._canonical(exps) == reference
+
+
 def test_vansum_enum_all_30_matches_golden_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(["--output", str(out), "vansum-enum", "--pair", "all", "--order", "30"])
