@@ -11,3 +11,7 @@ class NoGoodPairingError(ValueError):
 
 class ClassificationError(ValueError):
     """A vanishing six-term sum did not fit any of the three known shapes."""
+
+
+class WorkLimitError(ValueError):
+    """An exact search would exceed the module's fixed work limit."""

@@ -1,23 +1,40 @@
 """Tiling of the integers by finite sets, and tiling-pattern search.
 
-Two independent routes decide whether a finite integer set tiles Z: the
-prime-power valuation criterion (Newman), and a brute-force periodic
-exact-cover search.  The pattern search enumerates exact partitions of a
-window by three labeled pieces and keeps those realizable as translates of
-a single three-piece tile.
+Two independent routes decide whether a finite integer set A tiles Z: the
+prime-power valuation criterion (Newman), and a search of the window-state
+graph from Newman's periodicity proof, which uses no valuations.
+
+The graph is built for A' = (A - min A) / g, g the gcd of the differences,
+of diameter D.  A state is the D-bit mask of the points x, ..., x + D - 1
+that translates left of x already cover; an uncovered x can only be covered
+by the translate at x, so every state has at most one successor and the
+tilings of Z by A' are the cycles of the graph.  The minimal period of A'
+is its shortest cycle, and that of A follows from the cycle lengths by the
+gcd rule in `brute_force_tile_period`.  One pass over the 2^D states finds
+every cycle, so D is capped at MAX_REDUCED_DIAMETER and larger sets raise
+WorkLimitError.  The witness translates come from one exact cover of Z_m at
+the minimal period m.
+
+The pattern search enumerates exact partitions of a window by three labeled
+pieces that group into translates of a single three-piece tile.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclotomic import as_fraction
+from .errors import WorkLimitError
 from .jsonio import fraction_to_pair, json_field
 
 DEFAULT_PERIOD_CAP = 4096
+# The window-state graph has 2^D states for a reduced diameter D; at D = 22
+# one pass takes about a second (one x86 core) and 4 MB.
+MAX_REDUCED_DIAMETER = 22
 
 
 @dataclass(frozen=True)
@@ -131,9 +148,11 @@ class TileWitness:
 
 def _exact_cover(residues: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]:
     """First translate set T with residues (+) T = Z_m, branching on the
-    smallest uncovered residue and trying translates in increasing order."""
+    smallest uncovered residue and trying translates in increasing order.
+
+    The search keeps an explicit stack, since its depth is up to m / |A|.
+    """
     full = (1 << m) - 1
-    chosen: list[int] = []
 
     def mask_of(t: int) -> int:
         msk = 0
@@ -141,53 +160,129 @@ def _exact_cover(residues: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]
             msk |= 1 << ((a + t) % m)
         return msk
 
-    def search(covered: int) -> bool:
-        if covered == full:
-            return True
-        s = (~covered & full)
-        s = (s & -s).bit_length() - 1  # smallest uncovered residue
-        for a in residues:
-            t = (s - a) % m
+    chosen: list[int] = []
+    trail: list[tuple[int, int]] = []  # (covered, next residue index) per choice
+    covered, i = 0, 0
+    while covered != full:
+        low = ~covered & full
+        s = (low & -low).bit_length() - 1  # smallest uncovered residue
+        while i < len(residues):
+            t = (s - residues[i]) % m
             msk = mask_of(t)
-            if msk & covered:
-                continue
-            chosen.append(t)
-            if search(covered | msk):
-                return True
+            if not msk & covered:
+                break
+            i += 1
+        else:
+            if not trail:
+                return None
+            covered, i = trail.pop()
             chosen.pop()
-        return False
+            continue
+        trail.append((covered, i + 1))
+        chosen.append(t)
+        covered, i = covered | msk, 0
+    return tuple(sorted(chosen))
 
-    if search(0):
-        return tuple(sorted(chosen))
-    return None
+
+def _cycle_lengths(elements: tuple[int, ...]) -> set[int]:
+    """Lengths of the cycles of the window-state graph of A, in translates.
+
+    A has min A = 0 and diameter D.  A state is the D-bit mask of which of
+    x, ..., x + D - 1 translates left of x already cover, taken where x
+    itself is uncovered (bit 0 clear): the translate at x must cover it.
+    The move places it, dies if it overlaps, and then slides the window to
+    the next uncovered point, so each state has at most one successor.  A
+    cycle through c states places c translates, so its period is c * |A|.
+    """
+    d = elements[-1]
+    shape = 0
+    for a in elements:
+        shape |= 1 << a
+    seen = bytearray(1 << d)  # 0 unseen, 1 on the current walk, 2 done
+    lengths: set[int] = set()
+    path: list[int] = []
+    for start in range(0, 1 << d, 2):
+        s = start
+        while not seen[s]:
+            seen[s] = 1
+            path.append(s)
+            if s & shape:
+                break
+            s = (s | shape) >> 1
+            s >>= (s ^ (s + 1)).bit_length() - 1  # skip covered points
+        else:
+            if seen[s] == 1:
+                lengths.add(len(path) - path.index(s))
+        for t in path:
+            seen[t] = 2
+        path.clear()
+    return lengths
+
+
+def _least_period(c: int, g: int) -> int:
+    """Least m with c | m / gcd(m, g): c times the part of g on c's primes."""
+    coprime = g
+    while (h := math.gcd(coprime, c)) > 1:
+        coprime //= h
+    return c * (g // coprime)
 
 
 @functools.lru_cache(maxsize=8192)
 def _tile_period_cached(
     elements: tuple[int, ...], m_max: int
 ) -> Optional[TileWitness]:
+    g = math.gcd(*elements) or 1
+    reduced = tuple(x // g for x in elements)
+    if reduced[-1] > MAX_REDUCED_DIAMETER:
+        raise WorkLimitError(
+            f"reduced diameter {reduced[-1]} exceeds the tiling search limit "
+            f"{MAX_REDUCED_DIAMETER} (2^{MAX_REDUCED_DIAMETER} window states)"
+        )
     k = len(elements)
-    for m in range(k, m_max + 1, k):
-        residues = tuple(x % m for x in elements)
-        if len(set(residues)) != k:
-            continue
-        t = _exact_cover(tuple(sorted(set(residues))), m)
-        if t is not None:
-            return TileWitness(m, t)
-    return None
+    lengths = _cycle_lengths(reduced)
+    m = min((_least_period(k * c, g) for c in lengths), default=m_max + 1)
+    if m > m_max:
+        return None
+    translates = _exact_cover(tuple(sorted(x % m for x in elements)), m)
+    assert translates is not None, "a cycle of the state graph is a tiling"
+    return TileWitness(m, translates)
 
 
 def brute_force_tile_period(
     a: object, m_max: Optional[int] = None
 ) -> Optional[TileWitness]:
-    """Search periods m = k, 2k, ... for a translate set with A (+) T = Z_m.
+    """Minimal period m of a tiling A (+) T = Z, with the first translate set
+    T in [0, m) that an exact cover of Z_m finds.
 
-    Default bound min(2^diameter, DEFAULT_PERIOD_CAP); absence up to the
-    bound is returned as None, not raised.
+    Tilings are read off the window-state graph of A' = (A - min A) / g, g
+    the gcd of the differences (see `_cycle_lengths`).  A tiling of Z by A'
+    is a bi-infinite walk, which in a finite graph where each state has at
+    most one successor runs round a cycle; a cycle of c positions is a
+    tiling of period c and every period of a tiling is a multiple of some c.
+    So A' tiles with period m iff some cycle length divides m.
+
+    gcd rule: A tiles with period m iff A' tiles with period m / gcd(m, g).
+    Z splits into the g classes r + gZ, and A (+) T = Z iff for every r the
+    part T_r = (T cap (r + gZ) - r) / g satisfies A' (+) T_r = Z.  Adding m
+    moves the classes round orbits of length g / gcd(m, g), and following
+    one orbit shifts T_r by lcm(m, g) / g = m / gcd(m, g); conversely one
+    tiling T' of that period, copied to each class of an orbit shifted by
+    multiples of m, builds a T with T + m = T.  The least m with c | m /
+    gcd(m, g) is c times the part of g whose primes divide c: m = c * u
+    qualifies iff gcd(c * u, g) | u, that is iff p^v_p(g) | u for every
+    prime p dividing both c and g.  The minimal period is the least of
+    these over the cycle lengths c.
+
+    No valuations are used, so this stays independent of `newman_tiles`.
+    Default bound min(2^diameter, DEFAULT_PERIOD_CAP); a minimal period
+    above the bound is returned as None, not raised.  A reduced diameter
+    above MAX_REDUCED_DIAMETER raises WorkLimitError, since the graph has
+    2^diameter states.
     """
     aset = _as_integer_set(a)
     if m_max is None:
-        m_max = min(2 ** aset.diameter if aset.diameter > 0 else 1, DEFAULT_PERIOD_CAP)
+        diameter = min(aset.diameter, DEFAULT_PERIOD_CAP.bit_length())
+        m_max = min(1 << diameter, DEFAULT_PERIOD_CAP)
     if m_max < 1:
         raise ValueError("m_max must be positive")
     base = tuple(x - aset.elements[0] for x in aset.elements)
@@ -238,40 +333,6 @@ class TilePattern:
         }
 
 
-def _realizable(labels: Sequence[str], lengths: dict[str, Fraction]) -> bool:
-    """Can the labeled run be grouped into whole tiles with common offsets?
-
-    Positions of the i-th A, B, C pieces must differ by label-constant
-    shifts, and the three shifted pieces must be pairwise disjoint.
-    """
-    pos: dict[str, list[Fraction]] = {"A": [], "B": [], "C": []}
-    cursor = Fraction(0)
-    for lab in labels:
-        pos[lab].append(cursor)
-        cursor += lengths[lab]
-    n = len(pos["A"])
-    if not (len(pos["B"]) == len(pos["C"]) == n):
-        return False
-    shift_b = pos["B"][0] - pos["A"][0]
-    shift_c = pos["C"][0] - pos["A"][0]
-    for i in range(1, n):
-        if pos["B"][i] - pos["A"][i] != shift_b:
-            return False
-        if pos["C"][i] - pos["A"][i] != shift_c:
-            return False
-    spans = sorted(
-        [
-            (Fraction(0), lengths["A"]),
-            (shift_b, lengths["B"]),
-            (shift_c, lengths["C"]),
-        ]
-    )
-    for (s1, l1), (s2, _) in zip(spans, spans[1:]):
-        if s1 + l1 > s2:
-            return False
-    return True
-
-
 def _min_rotation(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
@@ -284,8 +345,11 @@ def pattern_search(
     The window must be a positive integer multiple of the tile measure (1),
     so complete patterns use each label exactly window times.  Sequences are
     enumerated left to right; a branch dies as soon as the constant-shift
-    grouping test fails on the pieces placed so far.  Patterns that are
-    cyclic rotations of one another are identified.
+    grouping test fails on the pieces placed so far.  A complete sequence
+    needs no further check: the i-th A, B and C pieces sit at the same
+    shifts for every i, and the first three are disjoint cells of one
+    partition, so the pieces group into whole translated tiles.  Patterns
+    that are cyclic rotations of one another are identified.
     """
     la, lb, lc = (as_fraction(x) for x in lengths)
     if la <= 0 or lb <= 0 or lc <= 0:
@@ -325,8 +389,7 @@ def pattern_search(
 
     def dfs(cursor: Fraction) -> None:
         if len(seq) == 3 * n:
-            if _realizable(seq, by_label):
-                found.add(_min_rotation("".join(seq)))
+            found.add(_min_rotation("".join(seq)))
             return
         for lab in "ABC":
             if counts[lab] == n:

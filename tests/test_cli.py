@@ -30,6 +30,27 @@ def test_tile_search_found_and_absent(capsys):
     assert code == 0 and not rep["found"]
 
 
+@pytest.mark.parametrize(
+    "elements, period",
+    [("0,64", 128), ("0,2048", 4096), ("0,4096", None)],
+)
+def test_tile_search_two_point_sets_answer_at_once(elements, period, capsys):
+    start = time.monotonic()
+    code, rep = run_cli(["tile-search", "--set", elements], capsys)
+    assert time.monotonic() - start < 1
+    assert code == 0 and rep["found"] is (period is not None)
+    if period is not None:
+        assert rep["period"] == period
+        assert rep["translates"] == list(range(period // 2))
+
+
+def test_tile_search_beyond_the_work_limit_is_an_input_error(capsys):
+    start = time.monotonic()
+    code, rep = run_cli(["tile-search", "--set", "0,1,64"], capsys)
+    assert time.monotonic() - start < 1
+    assert code == 2 and "64" in rep["error"]
+
+
 def test_pattern_subcommand(capsys):
     code, rep = run_cli(
         ["pattern", "--lengths", "5/12,1/3,1/4", "--window", "2", "--motif", "AA"],

@@ -1,13 +1,18 @@
 """Integer tiling (valuation criterion vs exact cover) and pattern search."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spectile.errors import WorkLimitError
 from spectile.ztiling import (
+    MAX_REDUCED_DIAMETER,
     IntegerSet,
-    TilePattern,
+    TileWitness,
+    _exact_cover,
     brute_force_tile_period,
     motif_scan,
     newman_tiles,
@@ -55,6 +60,9 @@ def test_brute_force_examples():
     # witnesses actually tile: every residue covered once
     w = brute_force_tile_period([0, 4, 2], 64)
     assert w.period == 3 and w.translates == (0,)
+    # the gcd rule: {0, 2} = 2 * {0, 1} has period 4, {0, 2, 4} period 3
+    assert brute_force_tile_period([0, 2]).period == 4
+    assert brute_force_tile_period([0, 2, 4]).period == 3
 
 
 def brute_witness_is_cover(a, witness):
@@ -94,6 +102,106 @@ def test_newman_agrees_with_brute_force_small():
         bound = min(2**diam if diam else 1, 4096)
         w = brute_force_tile_period(a, bound)
         assert rep.tiles == (w is not None), a
+
+
+def reference_exact_cover(residues, m):
+    """First translate set T with residues (+) T = Z_m, branching on the
+    smallest uncovered residue and trying translates in increasing order."""
+    full = (1 << m) - 1
+    chosen = []
+
+    def mask_of(t):
+        msk = 0
+        for a in residues:
+            msk |= 1 << ((a + t) % m)
+        return msk
+
+    def search(covered):
+        if covered == full:
+            return True
+        s = ~covered & full
+        s = (s & -s).bit_length() - 1  # smallest uncovered residue
+        for a in residues:
+            t = (s - a) % m
+            msk = mask_of(t)
+            if msk & covered:
+                continue
+            chosen.append(t)
+            if search(covered | msk):
+                return True
+            chosen.pop()
+        return False
+
+    if search(0):
+        return tuple(sorted(chosen))
+    return None
+
+
+def reference_tile_period(a, m_max):
+    """One exact cover of Z_m per period m = k, 2k, ..., m_max."""
+    elements = tuple(x - min(a) for x in sorted(a))
+    k = len(elements)
+    for m in range(k, m_max + 1, k):
+        residues = tuple(x % m for x in elements)
+        if len(set(residues)) != k:
+            continue
+        t = reference_exact_cover(tuple(sorted(set(residues))), m)
+        if t is not None:
+            return TileWitness(m, t)
+    return None
+
+
+def test_iterative_exact_cover_matches_recursive():
+    rng = random.Random(12)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        a = sorted(rng.sample(range(12), k))
+        for m in range(k, 49, k):
+            residues = tuple(sorted({x % m for x in a}))
+            if len(residues) == k:
+                assert _exact_cover(residues, m) == reference_exact_cover(residues, m), (a, m)
+
+
+def test_state_graph_matches_reference_on_criterion_1_sets():
+    for k in (2, 3, 4):
+        for a in itertools.combinations(range(13), k):
+            diam = a[-1] - a[0]
+            bound = min(2**diam if diam else 1, 4096)
+            assert brute_force_tile_period(a, bound) == reference_tile_period(a, bound), a
+
+
+def test_state_graph_matches_reference_on_random_sets():
+    rng = random.Random(13)
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        diam = rng.randint(k - 1, 14)
+        a = [0] if k == 1 else [0, diam] + rng.sample(range(1, diam), k - 2)
+        for bound in (1, 2, 3, 4, 6, 8, 12, 16, 64):
+            assert brute_force_tile_period(a, bound) == reference_tile_period(a, bound), (a, bound)
+
+
+def test_state_graph_matches_reference_on_scaled_sets():
+    for g in (2, 3, 4):
+        for k in (2, 3, 4):
+            for rest in itertools.combinations(range(1, 6), k - 1):
+                if math.gcd(*rest) != 1:
+                    continue
+                a = [0] + [g * x for x in rest]
+                assert brute_force_tile_period(a, 96) == reference_tile_period(a, 96), a
+
+
+def test_two_point_sets_at_powers_of_two():
+    for j in range(12):
+        w = brute_force_tile_period([0, 2**j])
+        assert w == TileWitness(2 ** (j + 1), tuple(range(2**j))), j
+    # the minimal period 8192 is above the default bound
+    assert brute_force_tile_period([0, 4096]) is None
+
+
+def test_reduced_diameter_above_the_limit_is_refused():
+    wide = MAX_REDUCED_DIAMETER + 1
+    with pytest.raises(WorkLimitError, match=f"{wide}.*{MAX_REDUCED_DIAMETER}"):
+        brute_force_tile_period([0, 1, wide])
 
 
 def test_pattern_search_distinct_lengths():
