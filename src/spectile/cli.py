@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import spectra, vansum, ztiling
 from .cyclotomic import RootOfUnity, as_fraction
 from .errors import PreconditionError
-from .intervals import IntervalUnion, d_tiles, in_zero_set
+from .intervals import IntervalUnion, d_tiles, fourier_indicator, in_zero_set
 from .jsonio import fraction_to_str, json_field, parse_fraction
 from .spectra import FiniteSpectrumWindow, PeriodicSet
 from .ztiling import IntegerSet
@@ -30,7 +30,6 @@ OK, REFUTED, BAD_INPUT = 0, 1, 2
 @dataclass
 class RunConfig:
     subcommand: str
-    params: dict = field(default_factory=dict)
     window: Fraction = Fraction(12)
     order_bound: int = 60
     m_max: int = ztiling.DEFAULT_PERIOD_CAP
@@ -45,19 +44,6 @@ class RunConfig:
             "mMax": self.m_max,
             "assumptionFilter": self.assumption_filter,
         }
-
-
-def _load_json_arg(args: argparse.Namespace, flag: str) -> dict:
-    inline = getattr(args, flag, None)
-    path = getattr(args, "input", None)
-    if inline:
-        text = inline
-    elif path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        raise ValueError(f"missing --{flag} or --input")
-    return json.loads(text)
 
 
 def _parse_set(text: str) -> IntegerSet:
@@ -128,8 +114,6 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         member = in_zero_set(omega, lam)
         report["frequency"] = fraction_to_str(lam)
         report["inZeroSet"] = member
-        from .intervals import fourier_indicator
-
         report["numericCrossCheck"] = abs(fourier_indicator(omega, float(lam)))
         return (OK if member else REFUTED), report
 

@@ -11,7 +11,9 @@ zeta_n = e^(2*pi*i/n), p the smallest prime factor of n and m = n/p
   and since 1, zeta_p, ..., zeta_p^(p-2) is a basis over Q(zeta_m), the sum
   vanishes iff the parts S_a collecting each a are all equal.
 Each step works on the terms alone: no tables, and memory bounded by the
-number of terms whatever the order.
+number of terms whatever the order.  An order that is neither provably
+prime nor divisible by a prime up to TRIAL_DIVISION_LIMIT raises
+WorkLimitError.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import WorkLimitError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -84,10 +88,6 @@ def root_of_unity(num: RationalLike, den: int = 1) -> RootOfUnity:
     return RootOfUnity(e)
 
 
-ONE = RootOfUnity(Fraction(0))
-MINUS_ONE = RootOfUnity(Fraction(1, 2))
-
-
 @dataclass(frozen=True)
 class CycloSum:
     """Finite sum  sum_i c_i * e^(2*pi*i*e_i)  with rational c_i.
@@ -108,14 +108,6 @@ class CycloSum:
             (c, RootOfUnity(e)) for e, c in sorted(merged.items()) if c != 0
         )
         object.__setattr__(self, "terms", cleaned)
-
-    @staticmethod
-    def zero() -> "CycloSum":
-        return CycloSum(())
-
-    @staticmethod
-    def of_root(root: RootOfUnity, coeff: RationalLike = 1) -> "CycloSum":
-        return CycloSum(((as_fraction(coeff), root),))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[RationalLike, RootOfUnity]]) -> "CycloSum":
@@ -204,6 +196,58 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+TRIAL_DIVISION_LIMIT = 2**20
+_TRIAL_SQUARE = TRIAL_DIVISION_LIMIT**2
+
+# Miller-Rabin with these bases is exact below _MILLER_RABIN_EXACT
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    # n odd, above every base and below _MILLER_RABIN_EXACT.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def smallest_prime_factor(n: int, start: int = 2) -> int:
+    """Smallest prime factor of n >= 2, given that no prime below start divides it.
+
+    Trial division runs up to TRIAL_DIVISION_LIMIT.  Past that, n is returned
+    if Miller-Rabin proves it prime; otherwise its smallest factor lies
+    beyond the limit and WorkLimitError is raised.
+    """
+    # One bound serves both stops, so each step costs what plain trial
+    # division costs; the kernel calls this inside its recursion.  When
+    # bound == n, trial division reached sqrt(n), so n is prime.
+    bound = n if n < _TRIAL_SQUARE else _TRIAL_SQUARE
+    p = start
+    while n % p:
+        p += 1
+        if p * p > bound:
+            if bound == n or (n < _MILLER_RABIN_EXACT and _is_prime(n)):
+                return n
+            raise WorkLimitError(
+                f"order {n} has no prime factor up to {TRIAL_DIVISION_LIMIT}"
+                " and is not provably prime"
+            )
+    return p
+
+
 def vanishes(coeffs: dict[int, int], n: int) -> bool:
     """True iff the sum of c * zeta_n^k over the items (k, c) is zero.
 
@@ -221,10 +265,8 @@ def _vanishes(terms: dict[int, int], n: int, p: int) -> bool:
     # below p divides n.
     if len(terms) <= 1:
         return not terms
-    while n % p:
-        p += 1
-        if p * p > n:
-            p = n
+    if n % p:  # p often still divides n; skip the call then
+        p = smallest_prime_factor(n, p)
     m = n // p
     parts: dict[int, dict[int, int]] = {}
     if m % p == 0:

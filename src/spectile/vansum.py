@@ -4,6 +4,15 @@ A six-component vector of signed roots vanishes in exactly three ways: a
 partition into three antipodal pairs (type1), a partition into two rotated
 cube-root triples (type2), or the irreducible shape
 x*(five special fifth roots) plus -x*(two primitive cube roots) (type3).
+
+One classifier, `_shape`, decides the shape of six integer exponents mod n.
+It lifts them to L = lcm(n, 30), so that half, third, fifth and sixth turns
+are integers, decides vanishing with the exact kernel and then looks for the
+witness of each shape in turn.  `classify` is its adapter for vectors with
+Fraction exponents, taking n as the lcm of 30 and their denominators; the
+interaction enumerations call it through a rotation-canonical memo, and the
+weight-6 sweep calls it on each vanishing exponent tuple.
+
 The interaction enumerations bound how many residue classes of a candidate
 spectrum can pairwise differ by type2/type3 vectors, via an exact clique
 computation on explicitly laid-out candidate vectors.
@@ -36,8 +45,7 @@ from .intervals import IntervalUnion
 from .jsonio import fraction_to_str
 
 _HALF = Fraction(1, 2)
-_THIRD = Fraction(1, 3)
-_FIFTH = Fraction(1, 5)
+
 
 def _pair_partitions() -> tuple[tuple[tuple[int, int], ...], ...]:
     """The 15 partitions of {0..5} into three pairs."""
@@ -135,62 +143,51 @@ class TypeTag:
     witness: object = None
 
 
-def _is_zero_pair(e1: Fraction, e2: Fraction) -> bool:
-    return (e1 - e2) % 1 == _HALF
+def _shape(exps: Sequence[int], n: int) -> tuple[str, object]:
+    """Tag and witness of sum_i zeta_n^(exps[i]) for six integer exponents.
 
-
-def _is_zero_triple(e1: Fraction, e2: Fraction, e3: Fraction) -> bool:
-    d1 = (e2 - e1) % 1
-    d2 = (e3 - e1) % 1
-    return {d1, d2} == {_THIRD, 2 * _THIRD}
-
-
-def _type3_normal_form(
-    exps: Sequence[Fraction],
-) -> Optional[tuple[RootOfUnity, tuple[int, ...], tuple[int, ...]]]:
+    The exponents are lifted to L = lcm(n, 30), where half, third, fifth and
+    sixth turns are integers.  Pair partitions are tried before triple
+    splits, then the type3 normal form; a vanishing sum that fits none of
+    them raises ClassificationError.
+    """
+    L = math.lcm(n, 30)
+    step = L // n
+    e = [k * step % L for k in exps]
+    if not vanishes(Counter(e), L):
+        return "not-vanishing", None
+    half, third, fifth, sixth = L // 2, L // 3, L // 5, L // 6
+    for partition in _PAIR_PARTITIONS:
+        if all((e[i] - e[j]) % L == half for i, j in partition):
+            return "type1", partition
+    turns = {third, 2 * third}
+    for left, right in _TRIPLE_SPLITS:
+        if all(
+            {(e[b] - e[a]) % L, (e[c] - e[a]) % L} == turns
+            for a, b, c in (left, right)
+        ):
+            return "type2", (left, right)
     for pair in itertools.combinations(range(6), 2):
         quad = tuple(i for i in range(6) if i not in pair)
-        e0 = exps[quad[0]]
         for j in range(1, 5):
-            x = (e0 - Fraction(j, 5)) % 1
-            want = {(x + Fraction(i, 5)) % 1 for i in range(1, 5)}
-            if {exps[i] for i in quad} != want:
+            x = (e[quad[0]] - j * fifth) % L
+            if {e[i] for i in quad} != {(x + i * fifth) % L for i in range(1, 5)}:
                 continue
-            pair_want = {(x + Fraction(5, 6)) % 1, (x + Fraction(1, 6)) % 1}
-            if {exps[i] for i in pair} == pair_want:
-                return RootOfUnity(x), quad, pair
-    return None
+            if {e[i] for i in pair} == {(x + 5 * sixth) % L, (x + sixth) % L}:
+                return "type3", (RootOfUnity(Fraction(x, L)), quad, pair)
+    raise ClassificationError("vanishing six-term sum outside the three known shapes")
 
 
 def classify(v: SignedRootVector) -> TypeTag:
     """Trichotomy tag for the vector's total, with structural witness.
 
-    A vanishing total is tested by the exact kernel; the pair partition is
-    preferred over the triple split when both exist.
+    The exponents are brought to a common denominator and classified by
+    `_shape`; the pair partition is preferred over the triple split when
+    both exist.
     """
     exps = v.value_exponents()
-    if not v.value().is_zero():
-        return TypeTag("not-vanishing")
-    for partition in _PAIR_PARTITIONS:
-        if all(_is_zero_pair(exps[i], exps[j]) for i, j in partition):
-            return TypeTag("type1", partition)
-    for left, right in _TRIPLE_SPLITS:
-        if _is_zero_triple(*(exps[i] for i in left)) and _is_zero_triple(
-            *(exps[i] for i in right)
-        ):
-            return TypeTag("type2", (left, right))
-    normal = _type3_normal_form(exps)
-    if normal is None:
-        raise ClassificationError(
-            "vanishing six-term sum outside the three known shapes"
-        )
-    return TypeTag("type3", normal)
-
-
-@dataclass(frozen=True)
-class SdpResult:
-    value: CycloSum
-    terms: SignedRootVector
+    L = math.lcm(30, *(e.denominator for e in exps))
+    return TypeTag(*_shape([e.numerator * (L // e.denominator) for e in exps], L))
 
 
 def g_product(v: SignedRootVector, w: SignedRootVector) -> SignedRootVector:
@@ -206,14 +203,13 @@ def g_product(v: SignedRootVector, w: SignedRootVector) -> SignedRootVector:
     return SignedRootVector(tuple(out))
 
 
-def sdp(v: SignedRootVector, w: SignedRootVector) -> SdpResult:
+def sdp(v: SignedRootVector, w: SignedRootVector) -> CycloSum:
     """Skew dot product: alternating-sign sum of componentwise v_i * conj(w_i).
 
-    The value equals the total of the g_product term vector; it vanishes
-    exactly when the two underlying frequencies differ by a zero-set member.
+    This is the total of the g_product term vector; it vanishes exactly when
+    the two underlying frequencies differ by a zero-set member.
     """
-    terms = g_product(v, w)
-    return SdpResult(terms.value(), terms)
+    return g_product(v, w).value()
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,6 @@ class _TagCache:
     def __init__(self, scale: int) -> None:
         self.scale = scale
         self.half = scale // 2
-        self.third = scale // 3
         self._cache: dict[tuple[int, ...], str] = {}
 
     def _canonical(self, exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,27 +250,7 @@ class _TagCache:
         return result
 
     def _tag_of(self, exps: tuple[int, ...]) -> str:
-        L, half = self.scale, self.half
-        if not vanishes(Counter(exps), L):
-            return "none"
-        if any(
-            all((exps[i] - exps[j]) % L == half for i, j in part)
-            for part in _PAIR_PARTITIONS
-        ):
-            return "type1"
-        if any(
-            self._zero_triple(exps, left) and self._zero_triple(exps, right)
-            for left, right in _TRIPLE_SPLITS
-        ):
-            return "type2"
-        return "type3"
-
-    def _zero_triple(self, exps: tuple[int, ...], idx: tuple[int, ...]) -> bool:
-        L, third = self.scale, self.third
-        a, b, c = (exps[i] for i in idx)
-        d1 = (b - a) % L
-        d2 = (c - a) % L
-        return {d1, d2} == {third, 2 * third}
+        return _shape(exps, self.scale)[0]
 
 
 def _distinct_layouts(multiset: tuple[int, ...], half: int) -> list[tuple[int, ...]]:
@@ -526,12 +501,6 @@ def _interaction(
     if not assumption_filter:
         allowed = allowed | {"type1"}
 
-    # One row per G-orbit suffices (G: the 12 position permutations fixing
-    # index 1 and keeping {0, 2, 4} and {3, 5}).  The candidate lists hold
-    # every layout with the half turn at index 1, so they are closed under
-    # G; the difference commutes with G, which fixes (0, h, 0, h, 0, h); the
-    # tag depends only on the difference's multiset; and tag(-d) == tag(d),
-    # since conjugation keeps vanishing and each shape.
     adj = _adjacency(vertices, cache, allowed)
     edge_count = sum(mask.bit_count() for mask in adj) // 2
 
@@ -657,6 +626,10 @@ def enumerate_type3_type2(
     return _interaction("type3-type2", order_bound, assumption_filter)
 
 
+# The weight-6 sweep visits about m^5/120 exponent tuples at order m.
+MAX_WEIGHT6_ORDER = 60
+
+
 @dataclass(frozen=True)
 class Weight6Report:
     ok: bool
@@ -677,7 +650,7 @@ class Weight6Report:
         }
 
 
-def verify_weight6_classification(order_bound: int = 30, cap: int = 60) -> Weight6Report:
+def verify_weight6_classification(order_bound: int = 30) -> Weight6Report:
     """Every vanishing signed six-term sum with orders dividing the bound
     must fall into one of the three shapes.
 
@@ -687,8 +660,8 @@ def verify_weight6_classification(order_bound: int = 30, cap: int = 60) -> Weigh
     """
     if order_bound < 1:
         raise ValueError("order bound must be positive")
-    if order_bound > cap:
-        raise ValueError(f"order bound exceeds the cap {cap}")
+    if order_bound > MAX_WEIGHT6_ORDER:
+        raise ValueError(f"order bound exceeds the cap {MAX_WEIGHT6_ORDER}")
     m = order_bound if order_bound % 2 == 0 else 2 * order_bound
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
@@ -726,18 +699,11 @@ def verify_weight6_classification(order_bound: int = 30, cap: int = 60) -> Weigh
                             continue
                         vanishing += 1
                         exps = (0, e2, e3, e4, e5, e6)
-                        vec = SignedRootVector.from_value_exponents(
-                            Fraction(e, m) for e in exps
-                        )
                         try:
-                            tag = classify(vec)
+                            tag = _shape(exps, m)[0]
                         except ClassificationError:
                             tag = None
-                        if tag is None or tag.tag not in (
-                            "type1",
-                            "type2",
-                            "type3",
-                        ):
+                        if tag not in ("type1", "type2", "type3"):
                             counterexample = tuple(
                                 fraction_to_str(Fraction(e, m)) for e in exps
                             )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import as_fraction
+from .cyclotomic import as_fraction, smallest_prime_factor
 from .errors import WorkLimitError
 from .jsonio import fraction_to_pair, json_field
 
@@ -76,21 +76,9 @@ def _as_integer_set(a: object) -> IntegerSet:
 def _prime_power(k: int) -> Optional[tuple[int, int]]:
     if k < 2:
         return None
-    p = None
-    n = k
-    for q in range(2, k + 1):
-        if q * q > n:
-            break
-        if n % q == 0:
-            p = q
-            break
-    if p is None:
-        p = n
-    alpha = 0
-    while n % p == 0:
-        n //= p
-        alpha += 1
-    return (p, alpha) if n == 1 else None
+    p = smallest_prime_factor(k)
+    alpha = _valuation(p, k)
+    return (p, alpha) if p**alpha == k else None
 
 
 def _valuation(p: int, x: int) -> int:

@@ -220,6 +220,25 @@ def test_zeroset_at_a_large_prime_order(capsys):
     assert code == 1 and rep["inZeroSet"] is False
 
 
+@pytest.mark.parametrize(
+    "frequency, code",
+    [
+        ("1/10000000000000061", 1),  # a prime order: answered
+        ("1/1000000016000000063", 2),  # 1000000007 * 1000000009: out of budget
+    ],
+)
+def test_zeroset_at_orders_beyond_trial_division(frequency, code, capsys):
+    omega = '{"pieces":[[["0","1"],["1","2"]],[["2","1"],["1","3"]]]}'
+    start = time.monotonic()
+    got, rep = run_cli(["zeroset", "--omega", omega, "--frequency", frequency], capsys)
+    assert time.monotonic() - start < 1
+    assert got == code
+    if code == 1:
+        assert rep["inZeroSet"] is False
+    else:
+        assert "error" in rep
+
+
 def test_reports_are_deterministic(capsys):
     args = ["newman", "--set", "0,4,2"]
     main(args)

@@ -14,9 +14,12 @@ from spectile.cyclotomic import (
     cyclo_eval_float,
     cyclo_is_zero,
     cyclotomic_poly,
+    TRIAL_DIVISION_LIMIT,
     root_of_unity,
+    smallest_prime_factor,
     vanishes,
 )
+from spectile.errors import WorkLimitError
 
 
 def poly_mul(a, b):
@@ -243,3 +246,41 @@ def test_is_zero_at_order_1e5_uses_little_memory():
             tracemalloc.stop()
         assert result is False
         assert peak < 1_000_000
+
+
+def test_smallest_prime_factor_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(73)
+    cases = [2, 3, 4, 9, 97, 1009 * 1013, 999983**2, 999983 * 1000003]
+    cases += [rng.randrange(2, 10**12) for _ in range(400)]
+    cases += [int(sympy.prevprime(rng.randrange(10**6, 10**12))) for _ in range(10)]
+    for n in cases:
+        p = min(sympy.factorint(n))
+        assert smallest_prime_factor(n) == p, n
+        assert smallest_prime_factor(n, p) == p, n
+
+
+def test_smallest_prime_factor_beyond_trial_division():
+    sympy = pytest.importorskip("sympy")
+    assert TRIAL_DIVISION_LIMIT**2 < 10**16 + 61
+    # primes: Miller-Rabin proves them at once
+    for n in (10**16 + 61, int(sympy.prevprime(3 * 10**24))):
+        assert sympy.isprime(n)
+        assert smallest_prime_factor(n) == n
+    # out of budget: two composites whose factors all lie beyond the limit
+    # (the second a strong pseudoprime to every prime base up to 37), and a
+    # prime above the bound where the Miller-Rabin bases are proven exact
+    for n in (
+        1000000007 * 1000000009,
+        399165290221 * 798330580441,
+        int(sympy.nextprime(4 * 10**24)),
+    ):
+        with pytest.raises(WorkLimitError):
+            smallest_prime_factor(n)
+    # either side of the limit itself
+    below = int(sympy.prevprime(TRIAL_DIVISION_LIMIT + 1))
+    above = int(sympy.nextprime(TRIAL_DIVISION_LIMIT))
+    assert smallest_prime_factor(below * below) == below
+    assert smallest_prime_factor(below * above) == below
+    with pytest.raises(WorkLimitError):
+        smallest_prime_factor(above * above)

@@ -1,6 +1,7 @@
 """Six-term vanishing sums: classification, skew products, enumerations."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from spectile.vansum import (
     _TagCache,
     _difference_exponents,
     SignedRootVector,
+    TypeTag,
     classify,
     enumerate_type2_type2,
     enumerate_type3_type2,
@@ -132,7 +134,7 @@ def test_sdp_identities():
     # first factor in the zero set makes the skew product vanish
     for lam in (1, 2, 4, 5):
         v = SignedRootVector.from_frequency(om, lam)
-        assert sdp(v, v0).value.is_zero()
+        assert sdp(v, v0).is_zero()
     # the value always equals the total of the g-product terms
     rng = random.Random(53)
     for _ in range(50):
@@ -140,7 +142,7 @@ def test_sdp_identities():
         b = F(rng.randint(-9, 9), rng.randint(1, 4))
         va = SignedRootVector.from_frequency(om, a)
         vb = SignedRootVector.from_frequency(om, b)
-        assert (sdp(va, vb).value - g_product(va, vb).value()).is_zero()
+        assert (sdp(va, vb) - g_product(va, vb).value()).is_zero()
 
 
 def test_no_two_cube_ratio_pairs_in_type3_vectors():
@@ -242,7 +244,7 @@ def _all_pairs_tags(vertices, cache):
         for j in range(i + 1, n):
             d = _difference_exponents(vi, vertices[j], scale, half)
             tag = cache.tag(d)
-            if tag != "none":
+            if tag != "not-vanishing":
                 tags[i, j] = tag
     return tags
 
@@ -366,3 +368,131 @@ def test_vansum_enum_all_30_matches_golden_report(tmp_path):
     code = main(["--output", str(out), "vansum-enum", "--pair", "all", "--order", "30"])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "vansum_enum_all_30.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the integer classifier against the Fraction classifier it replaced
+# ---------------------------------------------------------------------------
+
+_HALF = F(1, 2)
+
+
+def _reference_is_zero_pair(e1, e2):
+    return (e1 - e2) % 1 == _HALF
+
+
+def _reference_is_zero_triple(e1, e2, e3):
+    return {(e2 - e1) % 1, (e3 - e1) % 1} == {W, 2 * W}
+
+
+def _reference_type3_normal_form(exps):
+    for pair in itertools.combinations(range(6), 2):
+        quad = tuple(i for i in range(6) if i not in pair)
+        e0 = exps[quad[0]]
+        for j in range(1, 5):
+            x = (e0 - F(j, 5)) % 1
+            want = {(x + F(i, 5)) % 1 for i in range(1, 5)}
+            if {exps[i] for i in quad} != want:
+                continue
+            pair_want = {(x + F(5, 6)) % 1, (x + F(1, 6)) % 1}
+            if {exps[i] for i in pair} == pair_want:
+                return RootOfUnity(x), quad, pair
+    return None
+
+
+def _reference_classify(v):
+    """The Fraction classifier that `_shape` replaced."""
+    exps = v.value_exponents()
+    if not v.value().is_zero():
+        return TypeTag("not-vanishing")
+    for partition in vansum._PAIR_PARTITIONS:
+        if all(_reference_is_zero_pair(exps[i], exps[j]) for i, j in partition):
+            return TypeTag("type1", partition)
+    for left, right in vansum._TRIPLE_SPLITS:
+        if _reference_is_zero_triple(*(exps[i] for i in left)) and _reference_is_zero_triple(
+            *(exps[i] for i in right)
+        ):
+            return TypeTag("type2", (left, right))
+    normal = _reference_type3_normal_form(exps)
+    assert normal is not None, "vanishing sum outside the three shapes"
+    return TypeTag("type3", normal)
+
+
+def _assert_matches_reference(v):
+    expected = _reference_classify(v)
+    assert classify(v) == expected
+    exps = v.value_exponents()
+    n = math.lcm(*(e.denominator for e in exps))
+    ints = tuple(e.numerator * (n // e.denominator) for e in exps)
+    # the memo at the vector's own order, which need not be a multiple of 30
+    assert _TagCache(n).tag(ints) == expected.tag
+
+
+@pytest.mark.parametrize("order", [6, 10, 12, 18, 24, 30])
+def test_shape_matches_reference_on_weight6_sweep(order, monkeypatch):
+    calls = []
+    shape = vansum._shape
+
+    def recording_shape(exps, n):
+        result = shape(exps, n)
+        calls.append((exps, n, result))
+        return result
+
+    monkeypatch.setattr(vansum, "_shape", recording_shape)
+    report = verify_weight6_classification(order)
+    monkeypatch.undo()
+    assert report.ok and len(calls) == report.vanishing > 0
+    for exps, n, result in calls:
+        v = SignedRootVector.from_value_exponents([F(e, n) for e in exps])
+        assert TypeTag(*result) == _reference_classify(v)
+        _assert_matches_reference(v)
+
+
+def _planted(kind, d, x, y, z):
+    """Six value exponents of one shape, with x, y, z in (1/d)Z."""
+    if kind == "type1":
+        return [x, x + _HALF, y, y + _HALF, z, z + _HALF]
+    if kind == "type2":
+        return [x, x + W, x + 2 * W, y, y + W, y + 2 * W]
+    return [x + F(k, 5) for k in range(1, 5)] + [x + _HALF + W, x + _HALF + 2 * W]
+
+
+def _signed(values, signs):
+    """Vector with the given value exponents; a minus sign takes a half turn."""
+    return SignedRootVector(
+        tuple((s, RootOfUnity(e if s == 1 else e + _HALF)) for e, s in zip(values, signs))
+    )
+
+
+def test_classify_matches_reference_on_seeded_vectors():
+    rng = random.Random(61)
+    for i in range(2000):
+        d = rng.randint(1, 60)
+        kind = ("type1", "type2", "type3", "random")[i % 4]
+        if kind == "random":
+            values = [F(rng.randrange(d), d) for _ in range(6)]
+        else:
+            x, y, z = (F(rng.randrange(d), d) for _ in range(3))
+            values = _planted(kind, d, x, y, z)
+            if rng.random() < 0.5:
+                values[rng.randrange(6)] += F(rng.randrange(1, d + 1), d)
+        rng.shuffle(values)
+        _assert_matches_reference(_signed(values, [rng.choice((1, -1)) for _ in range(6)]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["type1", "type2", "type3"]),
+    st.integers(1, 60),
+    st.lists(st.integers(0, 59), min_size=3, max_size=3),
+    st.integers(0, 5),
+    st.integers(0, 59),
+    st.permutations(range(6)),
+    st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6),
+)
+def test_classify_matches_reference_on_perturbed_shapes(
+    kind, d, xyz, index, shift, layout, signs
+):
+    values = _planted(kind, d, *(F(k % d, d) for k in xyz))
+    values[index] += F(shift % d, d)
+    _assert_matches_reference(_signed([values[k] for k in layout], signs))

@@ -13,6 +13,7 @@ from spectile.ztiling import (
     IntegerSet,
     TileWitness,
     _exact_cover,
+    _prime_power,
     brute_force_tile_period,
     motif_scan,
     newman_tiles,
@@ -263,3 +264,11 @@ def test_no_doubled_motifs_for_generic_lengths():
         for p in pattern_search(lens, 3):
             for motif in ("AA", "BB", "CC", "ABA", "BAB", "ACA", "CAC", "BCB", "CBC"):
                 assert not motif_scan(p, motif), (lens, p.labels, motif)
+
+
+def test_prime_power_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(1, 4097):
+        factors = sympy.factorint(k)
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        assert _prime_power(k) == expected, k
