@@ -3,8 +3,13 @@
 Membership of a rational frequency in the zero set of the indicator's
 Fourier transform reduces to exact vanishing of a sum of roots of unity:
 for lam != 0,  2*pi*i*lam * FT(lam) = sum_j e(lam*(a_j+r_j)) - e(lam*a_j).
-The covering-multiplicity profile of the (1/d)Z translates is computed on an
-exact rational grid, which decides d-fold tiling.
+With q the endpoint denominator, that sum is q-periodic in lam, so
+membership depends only on lam mod q and is decided once per residue:
+`in_zero_set` reduces before its cache lookup, and `residue_member` gives
+the checks over many points an integer oracle with a per-call memo.
+The covering-multiplicity profile of the (1/d)Z translates is a step
+function with at most one step per endpoint, found by an integer sweep;
+it decides d-fold tiling.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction
 from .errors import PreconditionError
@@ -68,10 +73,8 @@ class IntervalUnion:
         return any(a <= x < a + r for a, r in self.pieces)
 
     def endpoint_denominator(self) -> int:
-        q = 1
-        for a, r in self.pieces:
-            q = math.lcm(q, a.denominator, (a + r).denominator)
-        return q
+        """lcm of the endpoints' denominators, which is that of the a and r."""
+        return math.lcm(*(x.denominator for piece in self.pieces for x in piece))
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,11 +113,41 @@ def in_zero_set(omega: IntervalUnion, lam: object) -> bool:
 
     The point 0 belongs by convention, so difference sets of candidate
     spectra can be tested uniformly.
+
+    Periodicity: let q = omega.endpoint_denominator(), so q*x is an integer
+    for every endpoint x.  Then e((lam+q)*x) = e(lam*x), hence
+    boundary_sum(omega, lam+q) = boundary_sum(omega, lam), and membership
+    of lam != 0 depends only on lam mod q.  A nonzero multiple of q has
+    every term equal to 1, so the sum is n - n = 0: residue 0 belongs.
     """
-    lam = as_fraction(lam)
+    lam = as_fraction(lam) % omega.endpoint_denominator()
     if lam == 0:
         return True
     return _in_zero_set_cached(omega, lam)
+
+
+def residue_member(
+    omega: IntervalUnion, scale: int
+) -> tuple[int, Callable[[int], bool]]:
+    """(P, member) with member(m) == (m/scale in the zero set), P = q*scale.
+
+    m/scale mod q is m mod P, so member(m) depends only on m mod P; and
+    lam, -lam belong together (the boundary sum at -lam is the complex
+    conjugate), so each class {r, -r} mod P is decided by one `in_zero_set`
+    call.  The memo lives only as long as the returned function.
+    """
+    period = omega.endpoint_denominator() * scale
+    memo: dict[int, bool] = {}
+
+    def member(m: int) -> bool:
+        r = m % period
+        r = min(r, period - r)
+        hit = memo.get(r)
+        if hit is None:
+            hit = memo[r] = in_zero_set(omega, Fraction(r, scale))
+        return hit
+
+    return period, member
 
 
 def fourier_indicator(omega: IntervalUnion, xi: float) -> complex:
@@ -158,23 +191,36 @@ class LevelProfile:
 
 
 def level_function(omega: IntervalUnion, d: int) -> LevelProfile:
-    """Exact covering-multiplicity profile of the (1/d)Z translates."""
+    """Exact covering-multiplicity profile of the (1/d)Z translates.
+
+    The profile is sampled on the cells m/grid, 0 <= m < cells, with
+    grid = lcm(q, d) and cells = grid/d.  A piece [b, c) covers x = m/grid
+    ceil(d(c - x)) - ceil(d(b - x)) times; with E = endpoint*grid an integer,
+    ceil(d(E - m)/grid) = -floor((m - E)/cells), and writing
+    E = t*cells + e (0 <= e < cells), floor((m - E)/cells) = [m >= e] - t - 1
+    on the cells.  So the profile starts at sum(t_c - t_b) and steps by +1
+    at every e_b and by -1 at every e_c: at most 2n cut points.
+    """
     if d < 1:
         raise ValueError("d must be a positive integer")
     q = omega.endpoint_denominator()
     grid = math.lcm(q, d)
-    width = Fraction(1, grid)
     cells = grid // d
-    values = []
-    for m in range(cells):
-        x = Fraction(m, grid)
-        count = 0
-        for a, r in omega.pieces:
-            lo = d * (a - x)
-            hi = lo + d * r
-            count += math.ceil(hi) - math.ceil(lo)
-        values.append(count)
-    return LevelProfile(width, tuple(values))
+    level = 0
+    steps: dict[int, int] = {}
+    for a, r in omega.pieces:
+        for end, sign in ((a, 1), (a + r, -1)):
+            t, e = divmod(end.numerator * (grid // end.denominator), cells)
+            level -= sign * t
+            steps[e] = steps.get(e, 0) + sign
+    values: list[int] = []
+    start = 0
+    for cut in sorted(steps):
+        values += [level] * (cut - start)
+        level += steps[cut]
+        start = cut
+    values += [level] * (cells - start)
+    return LevelProfile(Fraction(1, grid), tuple(values))
 
 
 def d_tiles(omega: IntervalUnion, d: int) -> bool:

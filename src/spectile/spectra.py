@@ -2,14 +2,20 @@
 
 A candidate spectrum is held either as a periodic set (cosets + period) or as
 a finite window of points.  Orthogonality of the exponential system reduces
-to membership of pairwise differences in the Fourier zero set; completeness
-is decided through the unitary matrix criterion when the base set is a union
-of unit cells and the candidate is periodic and rational, and reported as
-undecided otherwise.
+to membership of pairwise differences in the Fourier zero set.  That zero
+set is periodic mod q, the endpoint denominator of the base set, so the
+checks scale their points once to integers (by the lcm L of their
+denominators) and ask `intervals.residue_member` about classes mod q*L:
+each distinct class of differences is decided once, by integer reduction,
+and the points are scanned in order only to name a witness.
+Completeness is decided through the unitary matrix criterion when the base
+set is a union of unit cells and the candidate is periodic and rational,
+and reported as undecided otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +23,13 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction
 from .errors import NoGoodPairingError, PreconditionError
-from .intervals import IntervalUnion, boundary_sum, in_zero_set, unit_interval_factor
+from .intervals import (
+    IntervalUnion,
+    boundary_sum,
+    in_zero_set,
+    residue_member,
+    unit_interval_factor,
+)
 from .jsonio import fraction_to_pair, fraction_to_str, json_field, pair_to_fraction
 from .ztiling import IntegerSet
 
@@ -125,16 +137,34 @@ class OrthogonalityReport:
         }
 
 
+def _scaled(points: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(L, [p*L]) with L the lcm of the points' denominators."""
+    points = list(points)
+    scale = math.lcm(*(p.denominator for p in points))
+    return scale, [p.numerator * (scale // p.denominator) for p in points]
+
+
 def check_orthogonality(
     omega: IntervalUnion, spectrum: FiniteSpectrumWindow
 ) -> OrthogonalityReport:
-    """Every difference of distinct points must lie in the Fourier zero set."""
+    """Every difference of distinct points must lie in the Fourier zero set.
+
+    Scaled by L, points in one class mod q*L differ by a multiple of q, so
+    orthogonality is decided on the pairs of classes; only a violation
+    scans the pairs (i, j) in order, to name the first one.
+    """
     pts = spectrum.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not in_zero_set(omega, pts[j] - pts[i]):
-                return OrthogonalityReport(False, spectrum.window, (pts[i], pts[j]))
-    return OrthogonalityReport(True, spectrum.window, None)
+    scale, ints = _scaled(pts)
+    period, member = residue_member(omega, scale)
+    classes = sorted({x % period for x in ints})
+    violation = None
+    if not all(member(b - a) for a, b in itertools.combinations(classes, 2)):
+        violation = next(
+            (pts[i], pts[j])
+            for i, j in itertools.combinations(range(len(pts)), 2)
+            if not member(ints[j] - ints[i])
+        )
+    return OrthogonalityReport(violation is None, spectrum.window, violation)
 
 
 def completeness_matrix(a: object, mu: Sequence[object]) -> bool:
@@ -407,7 +437,9 @@ def ap_extension_check(omega: IntervalUnion, d: object, window_k: int) -> bool:
     """Once 0, d, ..., (2n-1)d lie in the zero set, so must every kd.
 
     Precondition failures raise; a False return is a counterexample flag for
-    the completion property itself.
+    the completion property itself.  Each kd is one `in_zero_set` query;
+    that reduces kd mod q, so a repeated residue is a cache hit and a
+    multiple of q needs no kernel call.
     """
     d = as_fraction(d)
     if d <= 0:
@@ -448,31 +480,37 @@ def spectrum_ap_extension(
 
     Requires the first 2n progression points to be present; then every
     a + kd inside the window must be a point of the spectrum and have all
-    its differences with the spectrum in the zero set.
+    its differences with the spectrum in the zero set.  Differences are
+    decided per pair of classes mod q*L (scaled by L), and the witness is
+    the first point, in order, of the first failing class.
     """
     a = as_fraction(a)
     d = as_fraction(d)
     if d <= 0:
         raise PreconditionError("d must be positive")
     n = len(omega.pieces)
-    pts = set(spectrum.points)
+    pts = spectrum.points
+    scale, ints = _scaled((*pts, a, d, spectrum.window))
+    *ints, a_int, d_int, w = ints
+    present = set(ints)
     for k in range(2 * n):
-        if a + k * d not in pts:
+        if a_int + k * d_int not in present:
             raise PreconditionError(
                 f"progression point a + {k}d is missing from the spectrum"
             )
-    w = spectrum.window
-    k = math.floor((-w - a) / d)
-    while a + k * d <= w:
-        x = a + k * d
-        k += 1
-        if abs(x) > w:
-            continue
-        if x not in pts:
-            return SpectrumApReport(False, (x, None))
-        for p in spectrum.points:
-            if p != x and not in_zero_set(omega, x - p):
-                return SpectrumApReport(False, (x, p))
+    period, member = residue_member(omega, scale)
+    first: dict[int, int] = {}  # class mod period -> index of its first point
+    for i, p in enumerate(ints):
+        first.setdefault(p % period, i)
+    x = a_int - d_int * ((a_int + w) // d_int)  # the first a + kd >= -w
+    while x <= w:
+        if x not in present:
+            return SpectrumApReport(False, (Fraction(x, scale), None))
+        rx = x % period
+        bad = [i for c, i in first.items() if c != rx and not member(c - rx)]
+        if bad:
+            return SpectrumApReport(False, (Fraction(x, scale), pts[min(bad)]))
+        x += d_int
     return SpectrumApReport(True, None)
 
 

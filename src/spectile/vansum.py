@@ -467,6 +467,8 @@ def _serialize_vertex(exps: tuple[int, ...], scale: int) -> tuple[str, ...]:
 def _interaction(
     kind: str, order_bound: int, assumption_filter: bool
 ) -> InteractionReport:
+    if order_bound < 1:
+        raise ValueError("order bound must be positive")
     if kind == "type2-type2":
         if order_bound % 6 != 0:
             raise ValueError("order bound must be a multiple of 6")

@@ -212,6 +212,15 @@ def test_malformed_input_is_a_clean_input_error(args, capsys):
     assert "error" in rep
 
 
+@pytest.mark.parametrize(
+    "pair, order", [("type2", "0"), ("type3", "-30")], ids=["type2-zero", "type3-negative"]
+)
+def test_vansum_enum_rejects_nonpositive_orders(pair, order, capsys):
+    code, rep = run_cli(["vansum-enum", "--pair", pair, "--order", order], capsys)
+    assert code == 2
+    assert rep == {"error": "order bound must be positive"}
+
+
 def test_zeroset_at_a_large_prime_order(capsys):
     omega = '{"pieces":[[["0","1"],["1","2"]],[["2","1"],["1","3"]]]}'
     start = time.monotonic()

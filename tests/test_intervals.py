@@ -5,15 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectile.errors import PreconditionError
 from spectile.intervals import (
     IntervalUnion,
+    boundary_sum,
     d_tiles,
     fourier_indicator,
     in_zero_set,
     level_function,
+    residue_member,
     unit_interval_factor,
+)
+from spectile.spectra import (
+    construct_half_pair,
+    construct_unit3_pair,
+    construct_unit4_pair,
 )
 
 
@@ -181,3 +190,94 @@ def test_json_round_trip():
     data = om.to_json_dict()
     assert data["pieces"][0] == [["-1", "3"], ["5", "6"]]
     assert IntervalUnion.from_json_dict(data) == om
+
+
+# ---------------------------------------------------------------------------
+# periodicity of the zero set, and the sweep against the per-cell loop
+# ---------------------------------------------------------------------------
+
+
+def random_union(rng, q_max=40, n_max=4):
+    """Up to n_max disjoint pieces with endpoints in (1/q)Z, q <= q_max."""
+    q = rng.randint(1, q_max)
+    cursor = Fraction(rng.randint(-3 * q, 3 * q), q)
+    pieces = []
+    for _ in range(rng.randint(1, n_max)):
+        length = Fraction(rng.randint(1, 2 * q), q)
+        pieces.append((cursor, length))
+        cursor += length + Fraction(rng.randint(0, 3 * q), q)
+    return IntervalUnion.from_pieces(pieces)
+
+
+def family_unions():
+    out = [construct_unit3_pair(j, r, s)[0] for j in (0, 1, 2) for r, s in ((0, 0), (1, 2))]
+    out += [construct_unit4_pair(l, r, s)[0] for l in (1, 2, 3) for r, s in ((1, 1), (3, 1))]
+    out += [construct_half_pair(n, k, k0, r)[0] for n, k, k0, r in (
+        (1, 1, 1, Fraction(1, 4)), (3, 9, 3, Fraction(1, 3)), (6, 18, 2, Fraction(1, 6)))]
+    return out
+
+
+def reference_count(om, d, grid, m):
+    # one cell of the per-cell Fraction loop the breakpoint sweep replaced
+    x = Fraction(m, grid)
+    count = 0
+    for a, r in om.pieces:
+        lo = d * (a - x)
+        hi = lo + d * r
+        count += math.ceil(hi) - math.ceil(lo)
+    return count
+
+
+def reference_level_function(om, d):
+    grid = math.lcm(om.endpoint_denominator(), d)
+    return Fraction(1, grid), tuple(
+        reference_count(om, d, grid, m) for m in range(grid // d)
+    )
+
+
+def test_level_function_matches_per_cell_loop():
+    rng = random.Random(71)
+    unions = [random_union(rng) for _ in range(250)] + family_unions()
+    for om in unions:
+        for d in range(1, 10):
+            prof = level_function(om, d)
+            assert (prof.cell_width, prof.values) == reference_level_function(om, d)
+
+
+def test_level_function_at_a_large_denominator():
+    # q = 10^5: 10^5 cells, still at most 2n steps
+    om = IntervalUnion.from_pieces(
+        [(Fraction(1, 100000), Fraction(3, 10)), (Fraction(7, 5), Fraction(7, 10))]
+    )
+    prof = level_function(om, 1)
+    assert len(prof.values) == 100000
+    rng = random.Random(72)
+    for m in [0, 1, 29999, 30000, 30001, 39999, 40000, 99999] + rng.sample(range(100000), 500):
+        assert prof.values[m] == reference_count(om, 1, 100000, m)
+    assert sum(a != b for a, b in zip(prof.values, prof.values[1:])) <= 4
+
+
+@st.composite
+def union_and_frequency(draw):
+    om = random_union(random.Random(draw(st.integers(0, 10**6))), q_max=12, n_max=3)
+    lam = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 24)))
+    return om, lam, draw(st.integers(-3, 3))
+
+
+@given(union_and_frequency())
+def test_zero_set_is_periodic_in_the_endpoint_denominator(case):
+    om, lam, k = case
+    q = om.endpoint_denominator()
+    expected = boundary_sum(om, lam).is_zero()  # unreduced, uncached
+    assert in_zero_set(om, lam) == expected == in_zero_set(om, lam + k * q)
+
+
+def test_residue_member_matches_in_zero_set():
+    rng = random.Random(73)
+    for om in [random_union(rng, q_max=12) for _ in range(60)] + family_unions():
+        scale = rng.randint(1, 30)
+        period, member = residue_member(om, scale)
+        assert period == om.endpoint_denominator() * scale
+        for _ in range(40):
+            m = rng.randint(-2000, 2000)
+            assert member(m) == boundary_sum(om, Fraction(m, scale)).is_zero()

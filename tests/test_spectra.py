@@ -8,10 +8,11 @@ import pytest
 
 from spectile.cyclotomic import RootOfUnity
 from spectile.errors import NoGoodPairingError, PreconditionError
-from spectile.intervals import IntervalUnion, d_tiles, in_zero_set
+from spectile.intervals import IntervalUnion, boundary_sum, d_tiles, in_zero_set
 from spectile.spectra import (
     FiniteSpectrumWindow,
     PeriodicSet,
+    SpectrumApReport,
     ap_extension_check,
     check_orthogonality,
     completeness_matrix,
@@ -27,6 +28,7 @@ from spectile.spectra import (
     verify_spectral_pair,
 )
 from spectile.ztiling import newman_tiles
+from test_intervals import random_union
 
 F = Fraction
 
@@ -380,3 +382,181 @@ def test_rank_case_preconditions():
     om2 = IntervalUnion.from_unit_cells([0, 4, 2]).scaled(F(1, 3))
     with pytest.raises(PreconditionError):
         rank_case(om2, 2, F(5, 2))  # kd - lam leaves the zero set
+
+
+# ---------------------------------------------------------------------------
+# the residue checks against the pairwise Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_member(om):
+    # unreduced and uncached: the boundary sum itself at every difference
+    memo = {}
+
+    def member(lam):
+        if lam not in memo:
+            memo[lam] = lam == 0 or boundary_sum(om, lam).is_zero()
+        return memo[lam]
+
+    return member
+
+
+def reference_check_orthogonality(om, spectrum):
+    member = _reference_member(om)
+    pts = spectrum.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if not member(pts[j] - pts[i]):
+                return False, (pts[i], pts[j])
+    return True, None
+
+
+def reference_ap_extension_check(om, d, window_k):
+    member = _reference_member(om)
+    d = F(d)
+    if d <= 0:
+        raise PreconditionError("d must be positive")
+    for k in range(2 * len(om.pieces)):
+        if not member(k * d):
+            raise PreconditionError(f"progression point {k}*d is not in the zero set")
+    for k in range(1, window_k + 1):
+        if not member(k * d) or not member(-k * d):
+            return False
+    return True
+
+
+def reference_spectrum_ap_extension(om, spectrum, a, d):
+    member = _reference_member(om)
+    a, d = F(a), F(d)
+    if d <= 0:
+        raise PreconditionError("d must be positive")
+    pts = set(spectrum.points)
+    for k in range(2 * len(om.pieces)):
+        if a + k * d not in pts:
+            raise PreconditionError(
+                f"progression point a + {k}d is missing from the spectrum"
+            )
+    w = spectrum.window
+    k = (-w - a) // d
+    while a + k * d <= w:
+        x = a + k * d
+        k += 1
+        if abs(x) > w:
+            continue
+        if x not in pts:
+            return False, (x, None)
+        for p in spectrum.points:
+            if p != x and not member(x - p):
+                return False, (x, p)
+    return True, None
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except PreconditionError as exc:
+        return "raised", str(exc)
+    if isinstance(result, SpectrumApReport):
+        return result.holds, result.witness
+    return result
+
+
+def _family_cases():
+    cases = [construct_unit3_pair(j, r, s) for j in (0, 1, 2) for r, s in ((0, 0), (1, 2))]
+    cases += [construct_unit4_pair(l, r, s) for l in (1, 2, 3) for r, s in ((1, 1), (3, 1))]
+    cases += [construct_half_pair(n, k, k0, r) for n, k, k0, r in (
+        (1, 1, 1, F(1, 4)), (3, 9, 3, F(1, 3)), (2, 6, 2, F(1, 5)), (6, 18, 2, F(1, 6)))]
+    return cases
+
+
+def _random_points(rng, om, periods):
+    """Multiples of q in a window of `periods` q's, plus a few extras.
+
+    Most extras are in the zero set, hence orthogonal to every multiple of
+    q, so a violation between two of them comes late in the scan.
+    """
+    q = om.endpoint_denominator()
+    window = q * periods
+
+    def extra():
+        return F(rng.randint(-window * 12, window * 12), rng.randint(1, 12) * 12) % window
+
+    points = {q * k for k in range(-periods, periods + 1)}
+    for _ in range(rng.choice((0, 1, 2, 3))):
+        x = extra()
+        for _ in range(30 if rng.random() < 0.8 else 0):
+            if boundary_sum(om, x).is_zero():
+                break
+            x = extra()
+        points.add(x)
+    return FiniteSpectrumWindow.from_points(points, window)
+
+
+def _zero_set_extras(omega, pset):
+    """Extra cosets in the zero set: orthogonal to 0 and to the lattice,
+    so a violation (with another coset) comes late in a scan."""
+    return [e for e in (pset.period * F(t, den) for den in range(2, 13)
+                        for t in range(1, den))
+            if e not in pset.cosets and boundary_sum(omega, e).is_zero()]
+
+
+def test_check_orthogonality_matches_pairwise_loop():
+    rng = random.Random(81)
+    for omega, pset in _family_cases():
+        inside = _zero_set_extras(omega, pset)
+        extras = ((), (pset.period * F(rng.randrange(1, 9), 9),), tuple(inside[:2]))
+        for window, extra in itertools.product((3, 6), extras):
+            spec = FiniteSpectrumWindow.from_periodic(
+                PeriodicSet(pset.period, pset.cosets + extra), window)
+            rep = check_orthogonality(omega, spec)
+            assert (rep.orthogonal, rep.violation) == reference_check_orthogonality(omega, spec)
+    for _ in range(150):
+        om = random_union(rng)
+        spec = _random_points(rng, om, rng.choice((6, 12)))
+        rep = check_orthogonality(om, spec)
+        assert (rep.orthogonal, rep.violation) == reference_check_orthogonality(om, spec)
+
+
+def test_ap_extension_check_matches_per_k_loop():
+    rng = random.Random(82)
+    unions = [om for om, _ in _family_cases()]
+    unions += [random_union(rng) for _ in range(120)]
+    unions += [IntervalUnion.from_pieces(_random_cover_runs(rng, d)).scaled(F(1, d))
+               for d in (1, 2, 3, 4, 6) for _ in range(4)]
+    for om in unions:
+        for d in (F(1), F(2), F(1, 2), F(rng.randint(1, 12), rng.randint(1, 6))):
+            window_k = rng.choice((1, 12, 50, 200))
+            assert _outcome(ap_extension_check, om, d, window_k) == _outcome(
+                reference_ap_extension_check, om, d, window_k)
+
+
+def test_spectrum_ap_extension_matches_pairwise_loop():
+    rng = random.Random(83)
+    for omega, pset in _family_cases():
+        inside = _zero_set_extras(omega, pset)[:1]
+        for window in (4, 7):
+            full = pset.points_in_window(window)
+            for start in (c - 3 * pset.period for c in pset.cosets):
+                for removed in (None, start + pset.period * rng.randint(6, 8)):
+                    points = [p for p in full if p != removed]
+                    extras = [pset.period * F(rng.randrange(1, 7), 7)]
+                    extras += inside
+                    if rng.random() < 0.5:
+                        points.append(rng.choice(extras))
+                    spec = FiniteSpectrumWindow.from_points(points, window)
+                    for d in (pset.period, 2 * pset.period):
+                        got = _outcome(spectrum_ap_extension, omega, spec, start, d)
+                        assert got == _outcome(
+                            reference_spectrum_ap_extension, omega, spec, start, d)
+    for _ in range(80):
+        om = random_union(rng)
+        spec = _random_points(rng, om, 10)
+        q = om.endpoint_denominator()
+        start = q * rng.randint(-2, 0)
+        d = rng.choice((q, q, 2 * q, F(q, rng.randint(1, 3))))
+        if rng.random() < 0.3:
+            hole = start + d * rng.randint(6, 12)
+            spec = FiniteSpectrumWindow.from_points(
+                [p for p in spec.points if p != hole], spec.window)
+        got = _outcome(spectrum_ap_extension, om, spec, start, d)
+        assert got == _outcome(reference_spectrum_ap_extension, om, spec, start, d)
