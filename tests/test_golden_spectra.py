@@ -1,11 +1,15 @@
-"""Golden reports of the spectral subcommands.
+"""Golden reports of the command line subcommands.
 
 Each file under tests/golden/ holds, per case, the input, the exit status
-and the report of one run.  The files were written once from the
-Fraction-per-pair implementation of `ortho` and `ap`; the integer residue
-checks must reproduce them byte for byte.
+and the report of one run.  The `ortho_*` and `ap_*` files were written once
+from the Fraction-per-pair implementation of `ortho` and `ap`; the integer
+residue checks must reproduce them byte for byte.  The `cli_*` files hold
+full reports, `"config"` block included, of every subcommand, written from
+the argparse tree that gave every subcommand every option; the parser that
+declares only the options each subcommand reads must reproduce them.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -134,7 +138,104 @@ def _removed_point_cases():
     return cases
 
 
+def _cases(*argvs):
+    return [(" ".join(argv), list(argv)) for argv in argvs]
+
+
+def _criterion_1_cases():
+    # every set of criterion 1, with the acceptance test's period cap
+    cases = []
+    for k in (2, 3, 4):
+        for a in itertools.combinations(range(13), k):
+            diam = a[-1] - a[0]
+            cases.append(["tile-search", "--set", ",".join(map(str, a)),
+                          "--m-max", str(min(2**diam, 4096))])
+    return _cases(*cases)
+
+
+_RANK_UNIT3 = IntervalUnion.from_pieces([(0, 1), (1, 1), (2, 1)]).scaled(F(1, 3))
+_RANK_UNIT3B = construct_unit3_pair(1, 0, 1)[0].scaled(F(1, 3))
+_RANK_UNIT4 = construct_unit4_pair(1, 1, 1)[0].scaled(F(1, 4))
+_SIX_TERMS = json.dumps({"terms": [[1, "1/5"], [1, "2/5"], [1, "3/5"], [1, "4/5"],
+                                   [1, "5/6"], [1, "1/6"]]})
+_PAIR_TERMS = json.dumps({"terms": [[1, "0"], [-1, "0"], [1, "1/3"], [-1, "1/3"],
+                                    [1, "1/7"], [-1, "1/7"]]})
+_UNIT3_OMEGA, _UNIT3_SPECTRUM = map(_json, construct_unit3_pair(0, 1, 2))
+_UNIT4_OMEGA, _UNIT4_SPECTRUM = map(_json, construct_unit4_pair(2, 1, 3))
+_THREE = _omega_json([(0, F(1, 3)), (F(4, 3), F(1, 3)), (F(2, 3), F(1, 3))])
+_ZEROSET = _omega_json([(0, 1), (4, 1), (2, 1)])
+_FAR = _omega_json([(0, F(1, 2)), (2, F(1, 3))])
+
+
 CLI_CASES = {
+    "cli_newman": _cases(
+        ["newman", "--set", "0,1,3,5"],
+        ["newman", "--set", "0,4,2"],
+        ["newman", "--set", "0,1,2,3,4,5,6,7"],
+        ["newman", "--set", '{"elements": ["0", "9", "18"]}'],
+        ["newman", "--set", "{}"]),
+    "cli_tile_search": _cases(
+        ["tile-search", "--set", "0,1,3,2"],
+        ["tile-search", "--set", "0,64"],
+        ["tile-search", "--set", "0,1,3,5", "--m-max", "64"],
+        ["tile-search", "--set", "0,1,64"]) + _criterion_1_cases(),
+    "cli_pattern": _cases(
+        ["pattern", "--lengths", "5/12,1/3,1/4", "--window", "2", "--motif", "AA"],
+        ["pattern", "--lengths", "1/3,1/3,1/3", "--window", "3", "--motif", "ABC"],
+        ["pattern", "--lengths", "1/2,1/4,1/4", "--window", "5/2"],
+        ["pattern", "--lengths", "1/2,1/3,1/6", "--window", "2"]),
+    "cli_zeroset": _cases(
+        ["zeroset", "--omega", _ZEROSET, "--frequency", "1/3"],
+        ["zeroset", "--omega", _ZEROSET, "--frequency", "1/2"],
+        ["zeroset", "--omega", _FAR, "--frequency", "1/100003"],
+        ["zeroset", "--omega", _FAR, "--frequency", "1/1000000016000000063"],
+        ["zeroset", "--omega", "{oops", "--frequency", "1"]),
+    "cli_ortho": _cases(
+        ["ortho", "--omega", _UNIT3_OMEGA, "--spectrum", _UNIT3_SPECTRUM],
+        ["ortho", "--omega", _UNIT4_OMEGA, "--spectrum", _UNIT4_SPECTRUM,
+         "--window", "7/2"],
+        ["ortho", "--omega", _UNIT3_OMEGA, "--spectrum", _UNIT4_SPECTRUM],
+        ["ortho", "--omega", _UNIT3_OMEGA, "--spectrum", '{"period":["1","1"]}']),
+    "cli_complete": _cases(
+        ["complete", "--set", "0,4,2", "--mu", "0,1/3,2/3"],
+        ["complete", "--set", "0,2", "--mu", "0,1/3"],
+        ["complete", "--set", "0,1,4,5", "--mu", "0,1/8,1/2,5/8"]),
+    "cli_construct": _cases(
+        ["construct", "--family", "unit3", "--j", "1", "--r", "2", "--s", "0"],
+        ["construct", "--family", "unit4"],
+        ["construct", "--family", "half", "--n", "3", "--k", "9", "--k0", "3",
+         "--piece-length", "1/3"],
+        ["construct", "--family", "half", "--n", "2", "--k", "5", "--k0", "1"]),
+    "cli_ap": _cases(
+        ["ap", "--omega", _THREE, "--difference", "1"],
+        ["ap", "--omega", _THREE, "--difference", "2", "--K", "7"],
+        ["ap", "--omega", _UNIT3_OMEGA, "--spectrum", _UNIT3_SPECTRUM,
+         "--difference", "1"],
+        ["ap", "--omega", _UNIT4_OMEGA, "--spectrum", _UNIT4_SPECTRUM,
+         "--start", "1/2", "--difference", "1", "--window", "6"]),
+    "cli_rank": _cases(
+        ["rank", "--omega", _json(_RANK_UNIT3), "--difference", "3",
+         "--frequency", "1/3"],
+        ["rank", "--omega", _json(_RANK_UNIT3B), "--difference", "3",
+         "--frequency", "1/3"],
+        ["rank", "--omega", _json(_RANK_UNIT4), "--difference", "2",
+         "--frequency", "1"],
+        ["rank", "--omega", _UNIT3_OMEGA, "--difference", "3", "--frequency", "1"]),
+    "cli_vansum_classify": _cases(
+        ["vansum-classify", "--vector", _SIX_TERMS],
+        ["vansum-classify", "--vector", _PAIR_TERMS],
+        ["vansum-classify", "--omega", _THREE, "--frequency", "3/2"],
+        ["vansum-classify", "--omega", _THREE],
+        ["vansum-classify", "--vector", "{}"]),
+    "cli_vansum_enum": _cases(
+        ["vansum-enum", "--pair", "type2", "--order", "12"],
+        ["vansum-enum", "--pair", "type3", "--order", "30", "--no-assumption"],
+        ["vansum-enum", "--pair", "mixed", "--order", "30"],
+        ["vansum-enum", "--pair", "type2", "--order", "0"]),
+    "cli_verify_weight6": _cases(
+        ["verify-weight6", "--order", "6"],
+        ["verify-weight6", "--order", "30"],
+        ["verify-weight6", "--order", "-1"]),
     "ortho_unit3": _ortho_cases(
         (f"unit3 {a}", construct_unit3_pair(*a)) for a in UNIT3),
     "ortho_unit4": _ortho_cases(
