@@ -1,19 +1,38 @@
 """Batch command line front end with JSON input and output.
 
-Every subcommand echoes its configuration and emits exact rationals as
-strings; floats appear only in fields named numericCrossCheck.  Exit status:
-0 when the computation succeeded (and any verified claim holds), 1 when a
-checked claim is refuted (the report carries the witness), 2 on input or
-precondition errors.
+    spectile [--output PATH] SUBCOMMAND [OPTIONS]
+
+Each subcommand takes only the options it reads; any other is an argparse
+error (exit 2).  --omega and --spectrum take inline JSON; --input names a
+JSON file holding them, under those keys or as the whole document.
+
+    newman           --set
+    tile-search      --set --m-max
+    pattern          --lengths --motif --window
+    zeroset          --omega --frequency --input
+    ortho            --omega --spectrum --window --input
+    complete         --set --mu
+    construct        --family --j --l --r --s --n --k --k0 --piece-length
+    ap               --omega --spectrum --difference --start --K --window --input
+    rank             --omega --difference --frequency --input
+    vansum-classify  --vector --omega --frequency --input
+    vansum-enum      --pair --order --no-assumption
+    verify-weight6   --order
+
+Every report echoes its configuration (window, order bound, period cap and
+assumption filter, at their defaults where the subcommand has no such
+option) and emits exact rationals as strings; floats appear only in fields
+named numericCrossCheck.  Exit status: 0 when the computation succeeded (and
+any verified claim holds), 1 when a checked claim is refuted (the report
+carries the witness), 2 on input or precondition errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import spectra, vansum, ztiling
@@ -25,25 +44,21 @@ from .spectra import FiniteSpectrumWindow, PeriodicSet
 from .ztiling import IntegerSet
 
 OK, REFUTED, BAD_INPUT = 0, 1, 2
+DEFAULT_WINDOW = "12"
+DEFAULT_ORDER = 60
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    window: Fraction = Fraction(12)
-    order_bound: int = 60
-    m_max: int = ztiling.DEFAULT_PERIOD_CAP
-    assumption_filter: bool = True
-    output: str = "-"
-
-    def echo(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "window": fraction_to_str(self.window),
-            "orderBound": self.order_bound,
-            "mMax": self.m_max,
-            "assumptionFilter": self.assumption_filter,
-        }
+def _config(args: argparse.Namespace) -> dict:
+    """The configuration every report echoes; an option the subcommand does
+    not take echoes its default."""
+    window = as_fraction(getattr(args, "window", DEFAULT_WINDOW))
+    return {
+        "subcommand": args.subcommand,
+        "window": fraction_to_str(window),
+        "orderBound": getattr(args, "order", DEFAULT_ORDER),
+        "mMax": getattr(args, "m_max", ztiling.DEFAULT_PERIOD_CAP),
+        "assumptionFilter": not getattr(args, "no_assumption", False),
+    }
 
 
 def _parse_set(text: str) -> IntegerSet:
@@ -52,34 +67,23 @@ def _parse_set(text: str) -> IntegerSet:
     return IntegerSet(tuple(int(x) for x in text.split(",")))
 
 
-def _parse_omega(args: argparse.Namespace) -> IntervalUnion:
-    if getattr(args, "omega", None):
-        return IntervalUnion.from_json_dict(json.loads(args.omega))
-    if getattr(args, "input", None):
+def _load(args: argparse.Namespace, key: str, cls):
+    """cls from the inline JSON option --key, else from the --input file,
+    where it is the key field or the whole document."""
+    text = getattr(args, key)
+    if text:
+        return cls.from_json_dict(json.loads(text))
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "omega" in data:
-            return IntervalUnion.from_json_dict(data["omega"])
-        return IntervalUnion.from_json_dict(data)
-    raise ValueError("missing --omega or --input")
+        return cls.from_json_dict(data[key] if key in data else data)
+    raise ValueError(f"missing --{key} or --input")
 
 
-def _parse_spectrum(args: argparse.Namespace) -> PeriodicSet:
-    if getattr(args, "spectrum", None):
-        return PeriodicSet.from_json_dict(json.loads(args.spectrum))
-    if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if "spectrum" in data:
-            return PeriodicSet.from_json_dict(data["spectrum"])
-        return PeriodicSet.from_json_dict(data)
-    raise ValueError("missing --spectrum or --input")
-
-
-def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch one subcommand; returns (exit status, report dict)."""
-    name = config.subcommand
-    report: dict = {"config": config.echo()}
+    name = args.subcommand
+    report: dict = {"config": _config(args)}
 
     if name == "newman":
         aset = _parse_set(args.set)
@@ -90,7 +94,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
 
     if name == "tile-search":
         aset = _parse_set(args.set)
-        witness = ztiling.brute_force_tile_period(aset, config.m_max)
+        witness = ztiling.brute_force_tile_period(aset, args.m_max)
         report["set"] = aset.to_json_dict()
         report["found"] = witness is not None
         if witness is not None:
@@ -99,7 +103,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
 
     if name == "pattern":
         lengths = [parse_fraction(x) for x in args.lengths.split(",")]
-        patterns = ztiling.pattern_search(lengths, config.window)
+        patterns = ztiling.pattern_search(lengths, as_fraction(args.window))
         report["patterns"] = [p.to_json_dict() for p in patterns]
         if args.motif:
             report["motif"] = args.motif
@@ -109,7 +113,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         return OK, report
 
     if name == "zeroset":
-        omega = _parse_omega(args)
+        omega = _load(args, "omega", IntervalUnion)
         lam = parse_fraction(args.frequency)
         member = in_zero_set(omega, lam)
         report["frequency"] = fraction_to_str(lam)
@@ -118,9 +122,9 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         return (OK if member else REFUTED), report
 
     if name == "ortho":
-        omega = _parse_omega(args)
-        pset = _parse_spectrum(args)
-        res = spectra.verify_spectral_pair(omega, pset, config.window)
+        omega = _load(args, "omega", IntervalUnion)
+        pset = _load(args, "spectrum", PeriodicSet)
+        res = spectra.verify_spectral_pair(omega, pset, as_fraction(args.window))
         report.update(res.to_json_dict())
         return (OK if res.orthogonal else REFUTED), report
 
@@ -148,11 +152,11 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         return OK, report
 
     if name == "ap":
-        omega = _parse_omega(args)
+        omega = _load(args, "omega", IntervalUnion)
         d = parse_fraction(args.difference)
-        if getattr(args, "spectrum", None):
-            pset = _parse_spectrum(args)
-            window = FiniteSpectrumWindow.from_periodic(pset, config.window)
+        if args.spectrum:
+            pset = _load(args, "spectrum", PeriodicSet)
+            window = FiniteSpectrumWindow.from_periodic(pset, as_fraction(args.window))
             res = spectra.spectrum_ap_extension(
                 omega, window, parse_fraction(args.start), d
             )
@@ -168,7 +172,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         return (OK if holds else REFUTED), report
 
     if name == "rank":
-        omega = _parse_omega(args)
+        omega = _load(args, "omega", IntervalUnion)
         res = spectra.rank_case(
             omega, parse_fraction(args.difference), parse_fraction(args.frequency)
         )
@@ -176,8 +180,8 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         return OK, report
 
     if name == "vansum-classify":
-        if getattr(args, "omega", None) or getattr(args, "input", None):
-            omega = _parse_omega(args)
+        if args.omega or args.input:
+            omega = _load(args, "omega", IntervalUnion)
             vec = vansum.SignedRootVector.from_frequency(
                 omega, parse_fraction(args.frequency)
             )
@@ -204,21 +208,23 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
             "mixed": ("type3type2", vansum.enumerate_type3_type2),
         }
         chosen = sections if pair == "all" else {pair: sections[pair]}
-        report["orderBound"] = config.order_bound
-        report["assumptionFilter"] = config.assumption_filter
+        assumption_filter = not args.no_assumption
+        report["orderBound"] = args.order
+        report["assumptionFilter"] = assumption_filter
         for key, (label, fn) in chosen.items():
-            res = fn(config.order_bound, config.assumption_filter)
+            res = fn(args.order, assumption_filter)
             report[label] = res.to_json_dict()
         return OK, report
 
     if name == "verify-weight6":
-        res = vansum.verify_weight6_classification(config.order_bound)
+        res = vansum.verify_weight6_classification(args.order)
         report.update(res.to_json_dict())
         return (OK if res.ok else REFUTED), report
 
     raise ValueError(f"unknown subcommand {name!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectile",
@@ -227,40 +233,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="-", help="report path, '-' for stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--window", default="12")
-        p.add_argument("--order", type=int, default=60)
-        p.add_argument("--m-max", type=int, default=ztiling.DEFAULT_PERIOD_CAP)
-        p.add_argument("--no-assumption", action="store_true")
-        p.add_argument("--input", default=None)
-
     p = sub.add_parser("newman")
     p.add_argument("--set", required=True)
-    common(p)
 
     p = sub.add_parser("tile-search")
     p.add_argument("--set", required=True)
-    common(p)
+    p.add_argument("--m-max", type=int, default=ztiling.DEFAULT_PERIOD_CAP)
 
     p = sub.add_parser("pattern")
     p.add_argument("--lengths", required=True)
     p.add_argument("--motif", default=None)
-    common(p)
+    p.add_argument("--window", default=DEFAULT_WINDOW)
 
     p = sub.add_parser("zeroset")
     p.add_argument("--omega", default=None)
     p.add_argument("--frequency", required=True)
-    common(p)
+    p.add_argument("--input", default=None)
 
     p = sub.add_parser("ortho")
     p.add_argument("--omega", default=None)
     p.add_argument("--spectrum", default=None)
-    common(p)
+    p.add_argument("--window", default=DEFAULT_WINDOW)
+    p.add_argument("--input", default=None)
 
     p = sub.add_parser("complete")
     p.add_argument("--set", required=True)
     p.add_argument("--mu", required=True)
-    common(p)
 
     p = sub.add_parser("construct")
     p.add_argument("--family", required=True, choices=["unit3", "unit4", "half"])
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--k0", type=int, default=1)
     p.add_argument("--piece-length", default="1/4")
-    common(p)
 
     p = sub.add_parser("ap")
     p.add_argument("--omega", default=None)
@@ -280,66 +277,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difference", required=True)
     p.add_argument("--start", default="0")
     p.add_argument("--K", type=int, default=50)
-    common(p)
+    p.add_argument("--window", default=DEFAULT_WINDOW)
+    p.add_argument("--input", default=None)
 
     p = sub.add_parser("rank")
     p.add_argument("--omega", default=None)
     p.add_argument("--difference", required=True)
     p.add_argument("--frequency", required=True)
-    common(p)
+    p.add_argument("--input", default=None)
 
     p = sub.add_parser("vansum-classify")
     p.add_argument("--vector", default=None)
     p.add_argument("--omega", default=None)
     p.add_argument("--frequency", default="0")
-    common(p)
+    p.add_argument("--input", default=None)
 
     p = sub.add_parser("vansum-enum")
     p.add_argument("--pair", default="all", choices=["type2", "type3", "mixed", "all"])
-    common(p)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--no-assumption", action="store_true")
 
     p = sub.add_parser("verify-weight6")
-    common(p)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
     return parser
 
 
-def _emit(report: dict, output: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if output == "-":
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        window=as_fraction(getattr(args, "window", "12")),
-        order_bound=getattr(args, "order", 60),
-        m_max=getattr(args, "m_max", ztiling.DEFAULT_PERIOD_CAP),
-        assumption_filter=not getattr(args, "no_assumption", False),
-        output=args.output,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        status, report = run(config, args)
+        status, report = run(args)
     except json.JSONDecodeError as exc:
-        _emit(
-            {
-                "error": f"malformed JSON: {exc.msg}",
-                "line": exc.lineno,
-                "column": exc.colno,
-            },
-            config.output,
-        )
-        return BAD_INPUT
+        status = BAD_INPUT
+        report = {
+            "error": f"malformed JSON: {exc.msg}",
+            "line": exc.lineno,
+            "column": exc.colno,
+        }
     except (PreconditionError, ValueError, TypeError, OSError) as exc:
-        _emit({"error": str(exc)}, config.output)
+        status, report = BAD_INPUT, {"error": str(exc)}
+    text = json.dumps(report, sort_keys=True, indent=2)
+    if args.output == "-":
+        print(text)
+        return status
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        # the report cannot reach its file, so the error goes to stdout
+        print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         return BAD_INPUT
-    _emit(report, config.output)
     return status
 
 

@@ -395,12 +395,7 @@ def separation(points: Sequence[object]) -> Fraction:
 def find_aps(
     points: object, min_len: int
 ) -> tuple[tuple[Fraction, Fraction, int], ...]:
-    """Maximal arithmetic progressions of length >= min_len in the points.
-
-    Points are first snapped to the grid of half the minimum gap; the grid
-    cell map serves as the membership index, and every candidate progression
-    is verified exactly on the original rationals before being reported.
-    """
+    """Maximal arithmetic progressions of length >= min_len in the points."""
     if isinstance(points, FiniteSpectrumWindow):
         pts = list(points.points)
     else:
@@ -409,23 +404,16 @@ def find_aps(
         raise ValueError("min_len must be at least 2")
     if len(pts) < min_len:
         return ()
-    delta1 = separation(pts) / 2
-    grid: dict[int, Fraction] = {}
-    for p in pts:
-        grid[math.floor(p / delta1)] = p
-
-    def member(x: Fraction) -> bool:
-        return grid.get(math.floor(x / delta1)) == x
-
+    members = set(pts)
     out: set[tuple[Fraction, Fraction, int]] = set()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d = pts[j] - pts[i]
-            if member(pts[i] - d):
+            if pts[i] - d in members:
                 continue  # not the start of the run
             length = 2
             x = pts[j] + d
-            while member(x):
+            while x in members:
                 length += 1
                 x += d
             if length >= min_len:
@@ -444,6 +432,8 @@ def ap_extension_check(omega: IntervalUnion, d: object, window_k: int) -> bool:
     d = as_fraction(d)
     if d <= 0:
         raise PreconditionError("d must be positive")
+    if window_k < 1:
+        raise PreconditionError("the window K must be positive")
     n = len(omega.pieces)
     for k in range(2 * n):
         if not in_zero_set(omega, k * d):

@@ -139,37 +139,36 @@ def _exact_cover(residues: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]
     smallest uncovered residue and trying translates in increasing order.
 
     The search keeps an explicit stack, since its depth is up to m / |A|.
+    One bytearray marks the covered residues, and a choice is undone from
+    its trail entry (translate, next residue index, scan pointer), so the
+    memory is linear in m.  Covering only moves the smallest uncovered
+    residue up, so the scan pointer never moves back between undos.
     """
-    full = (1 << m) - 1
-
-    def mask_of(t: int) -> int:
-        msk = 0
-        for a in residues:
-            msk |= 1 << ((a + t) % m)
-        return msk
-
-    chosen: list[int] = []
-    trail: list[tuple[int, int]] = []  # (covered, next residue index) per choice
-    covered, i = 0, 0
-    while covered != full:
-        low = ~covered & full
-        s = (low & -low).bit_length() - 1  # smallest uncovered residue
+    covered = bytearray(m)
+    trail: list[tuple[int, int, int]] = []
+    s, i = 0, 0
+    while True:
+        while s < m and covered[s]:
+            s += 1
+        if s == m:
+            return tuple(sorted(t for t, _, _ in trail))
         while i < len(residues):
             t = (s - residues[i]) % m
-            msk = mask_of(t)
-            if not msk & covered:
+            cells = [(a + t) % m for a in residues]
+            if not any(covered[c] for c in cells):
                 break
             i += 1
         else:
             if not trail:
                 return None
-            covered, i = trail.pop()
-            chosen.pop()
+            t, i, s = trail.pop()
+            for a in residues:
+                covered[(a + t) % m] = 0
             continue
-        trail.append((covered, i + 1))
-        chosen.append(t)
-        covered, i = covered | msk, 0
-    return tuple(sorted(chosen))
+        for c in cells:
+            covered[c] = 1
+        trail.append((t, i + 1, s))
+        i = 0
 
 
 def _cycle_lengths(elements: tuple[int, ...]) -> set[int]:
@@ -282,8 +281,7 @@ class TilePattern:
     """Exact partition of [0, window) by labeled pieces A, B, C.
 
     Each placement is (left endpoint, label); placements are contiguous and
-    fill the window with no gap.  Tile translates are recovered by anchoring
-    each tile at its A piece.
+    fill the window with no gap.
     """
 
     window: Fraction
@@ -306,9 +304,6 @@ class TilePattern:
     @property
     def labels(self) -> str:
         return "".join(label for _, label in self.placements)
-
-    def tile_offsets(self) -> tuple[Fraction, ...]:
-        return tuple(off for off, label in self.placements if label == "A")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from spectile.cli import main
+from spectile.cli import build_parser, main, run
 
 
 def run_cli(args, capsys):
@@ -265,3 +266,131 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tiles"] is True
+
+
+_THIRDS = '{"pieces":[[["0","1"],["1","3"]],[["1","1"],["1","3"]],[["2","1"],["1","3"]]]}'
+_THIRDS_SPECTRUM = '{"period":["3","1"],"cosets":[["0","1"],["1","3"],["2","3"]]}'
+
+# The options each subcommand reads; --output belongs to the main parser.
+OPTIONS = {
+    "newman": {"--set"},
+    "tile-search": {"--set", "--m-max"},
+    "pattern": {"--lengths", "--motif", "--window"},
+    "zeroset": {"--omega", "--frequency", "--input"},
+    "ortho": {"--omega", "--spectrum", "--window", "--input"},
+    "complete": {"--set", "--mu"},
+    "construct": {"--family", "--j", "--l", "--r", "--s", "--n", "--k", "--k0",
+                  "--piece-length"},
+    "ap": {"--omega", "--spectrum", "--difference", "--start", "--K", "--window",
+           "--input"},
+    "rank": {"--omega", "--difference", "--frequency", "--input"},
+    "vansum-classify": {"--vector", "--omega", "--frequency", "--input"},
+    "vansum-enum": {"--pair", "--order", "--no-assumption"},
+    "verify-weight6": {"--order"},
+}
+
+
+def _flags(parser):
+    return {flag for action in parser._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _flags(parser) == {"--output"}
+    assert {name: _flags(p) for name, p in sub.choices.items()} == OPTIONS
+    assert 1 + sum(len(flags) for flags in OPTIONS.values()) == 44
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its options are read."""
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "__class__").read.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_run_reads_every_option_a_subcommand_declares(tmp_path):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"omega": json.loads(_THIRDS),
+                                "spectrum": json.loads(_THIRDS_SPECTRUM)}))
+    vector = json.dumps({"terms": [[1, "0"], [-1, "0"], [1, "1/3"], [-1, "1/3"],
+                                   [1, "1/7"], [-1, "1/7"]]})
+    cases = [
+        ["newman", "--set", "0,1"],
+        ["tile-search", "--set", "0,1"],
+        ["pattern", "--lengths", "5/12,1/3,1/4", "--window", "2", "--motif", "AB"],
+        ["zeroset", "--input", str(pair), "--frequency", "1/3"],
+        ["ortho", "--input", str(pair), "--spectrum", _THIRDS_SPECTRUM],
+        ["complete", "--set", "0,4,2", "--mu", "0,1/3,2/3"],
+        ["construct", "--family", "unit3"],
+        ["construct", "--family", "unit4"],
+        ["construct", "--family", "half", "--n", "3", "--k", "9", "--k0", "3",
+         "--piece-length", "1/3"],
+        ["ap", "--input", str(pair), "--difference", "3"],
+        ["ap", "--omega", _THIRDS, "--spectrum", _THIRDS_SPECTRUM, "--difference", "3",
+         "--window", "24"],
+        ["rank", "--input", str(pair), "--difference", "3", "--frequency", "1/3"],
+        ["vansum-classify", "--vector", vector],
+        ["vansum-classify", "--input", str(pair), "--frequency", "1/3"],
+        ["vansum-enum", "--pair", "type2", "--order", "12"],
+        ["verify-weight6", "--order", "6"],
+    ]
+    declared, read = {}, {}
+    for argv in cases:
+        recorder = type("Recorder", (_ReadRecorder,), {"read": set()})
+        args = build_parser().parse_args(argv, namespace=recorder())
+        status, _ = run(args)
+        assert status == 0, argv
+        declared[argv[0]] = set(vars(args)) - {"output", "subcommand"}
+        read.setdefault(argv[0], set()).update(recorder.read - {"output", "subcommand"})
+    assert read == declared
+    assert {name: {"--" + dest.replace("_", "-") for dest in dests}
+            for name, dests in declared.items()} == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["newman", "--set", "0,1", "--window", "3"],
+        ["newman", "--set", "0,1", "--input", "a.json"],
+        ["tile-search", "--set", "0,1", "--order", "30"],
+        ["complete", "--set", "0,2", "--mu", "0,1/2", "--no-assumption"],
+        ["verify-weight6", "--m-max", "8"],
+    ],
+)
+def test_an_option_the_subcommand_does_not_read_is_refused(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pattern", "--lengths", "1/4,1/4,1/2", "--window", "x"],
+        ["ortho", "--omega", _THIRDS, "--spectrum", _THIRDS_SPECTRUM, "--window", "1/0"],
+        ["ap", "--omega", _THIRDS, "--difference", "3", "--K", "-5"],
+        ["ap", "--omega", _THIRDS, "--difference", "3", "--K", "0"],
+    ],
+    ids=["window-not-a-number", "window-zero-denominator", "K-negative", "K-zero"],
+)
+def test_bad_option_values_are_clean_input_errors(args, capsys):
+    code, rep = run_cli(args, capsys)
+    assert code == 2
+    assert list(rep) == ["error"]
+
+
+def test_unwritable_output_is_a_clean_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, rep = run_cli(["--output", str(target), "newman", "--set", "0,1"], capsys)
+    assert code == 2
+    assert "r.json" in rep["error"]
+    assert not target.exists()
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,19 @@ def test_two_point_sets_at_powers_of_two():
         assert w == TileWitness(2 ** (j + 1), tuple(range(2**j))), j
     # the minimal period 8192 is above the default bound
     assert brute_force_tile_period([0, 4096]) is None
+
+
+def test_witness_memory_is_linear_in_the_period():
+    # a big-integer snapshot of the cover per placed translate peaked at
+    # 851 MB of resident memory on this set
+    tracemalloc.start()
+    try:
+        w = brute_force_tile_period([0, 65536], 131082)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == TileWitness(131072, tuple(range(65536)))
+    assert peak < 20 * 2**20
 
 
 def test_reduced_diameter_above_the_limit_is_refused():
