@@ -304,11 +304,13 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 
 class _ReadRecorder(argparse.Namespace):
-    """A namespace that records which of its options are read."""
+    """A namespace that adds to `read` the name of each option read."""
+
+    read: set = set()
 
     def __getattribute__(self, name):
         if name in object.__getattribute__(self, "__dict__"):
-            object.__getattribute__(self, "__class__").read.add(name)
+            _ReadRecorder.read.add(name)
         return object.__getattribute__(self, name)
 
 
@@ -340,12 +342,12 @@ def test_run_reads_every_option_a_subcommand_declares(tmp_path):
     ]
     declared, read = {}, {}
     for argv in cases:
-        recorder = type("Recorder", (_ReadRecorder,), {"read": set()})
-        args = build_parser().parse_args(argv, namespace=recorder())
+        args = _ReadRecorder(**vars(build_parser().parse_args(argv)))
+        _ReadRecorder.read = set()
         status, _ = run(args)
         assert status == 0, argv
         declared[argv[0]] = set(vars(args)) - {"output", "subcommand"}
-        read.setdefault(argv[0], set()).update(recorder.read - {"output", "subcommand"})
+        read.setdefault(argv[0], set()).update(_ReadRecorder.read - {"output", "subcommand"})
     assert read == declared
     assert {name: {"--" + dest.replace("_", "-") for dest in dests}
             for name, dests in declared.items()} == OPTIONS
