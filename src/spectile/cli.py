@@ -4,7 +4,8 @@
 
 Each subcommand takes only the options it reads; any other is an argparse
 error (exit 2).  --omega and --spectrum take inline JSON; --input names a
-JSON file holding them, under those keys or as the whole document.
+JSON file holding them, under those keys or as the whole document.  ap
+checks a spectrum given inline or under the file's "spectrum" key, else --K.
 
     newman           --set
     tile-search      --set --m-max
@@ -74,10 +75,14 @@ def _load(args: argparse.Namespace, key: str, cls):
     if text:
         return cls.from_json_dict(json.loads(text))
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.input)
         return cls.from_json_dict(data[key] if key in data else data)
     raise ValueError(f"missing --{key} or --input")
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def run(args: argparse.Namespace) -> tuple[int, dict]:
@@ -154,7 +159,7 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
     if name == "ap":
         omega = _load(args, "omega", IntervalUnion)
         d = parse_fraction(args.difference)
-        if args.spectrum:
+        if args.spectrum or args.input and "spectrum" in _read_json(args.input):
             pset = _load(args, "spectrum", PeriodicSet)
             window = FiniteSpectrumWindow.from_periodic(pset, as_fraction(args.window))
             res = spectra.spectrum_ap_extension(

@@ -15,13 +15,14 @@ every cycle, so D is capped at MAX_REDUCED_DIAMETER and larger sets raise
 WorkLimitError.  The witness translates come from one exact cover of Z_m at
 the minimal period m.
 
-The pattern search enumerates exact partitions of a window by three labeled
-pieces that group into translates of a single three-piece tile.
+The pattern search tiles a window by one tile X, Y, Z.  Only X pieces fill
+its X-Y gap, only X and Y pieces its Y-Z gap, and the tiling is then forced.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,8 @@ DEFAULT_PERIOD_CAP = 4096
 # The window-state graph has 2^D states for a reduced diameter D; at D = 22
 # one pass takes about a second (one x86 core) and 4 MB.
 MAX_REDUCED_DIAMETER = 22
+# At window 28 the slowest length triples measured take 0.9 s (one x86 core).
+MAX_PATTERN_WINDOW = 28
 
 
 @dataclass(frozen=True)
@@ -320,19 +323,46 @@ def _min_rotation(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
+def _forced_word(labels: str, tile: tuple[int, ...], width: int) -> Optional[str]:
+    """Label word of the tiling of [0, width) by the tile with pieces labeled
+    `labels` of sizes tile[:3] at 0, tile[3], tile[4]; None if there is none.
+    Translates go left to right, so one index each tracks pending Y, Z pieces.
+    """
+    oy, oz = tile[3:]
+    translates: list[int] = []
+    word: list[str] = []
+    iy = iz = cursor = 0
+    while cursor < width:  # cursor: the leftmost uncovered point
+        sy = translates[iy] + oy if iy < len(translates) else width
+        sz = translates[iz] + oz if iz < len(translates) else width
+        if sy == cursor < sz:
+            k, iy = 1, iy + 1
+        elif sz == cursor < sy:
+            k, iz = 2, iz + 1
+        elif cursor < sy and cursor < sz and cursor + oz + tile[2] <= width:
+            k = 0
+            translates.append(cursor)
+        else:
+            return None  # an overlap, or a translate past the window
+        cursor += tile[k]
+        word.append(labels[k])
+    return "".join(word) if iy == iz == len(translates) else None
+
+
 def pattern_search(
     lengths: Sequence[object], window: object
 ) -> tuple[TilePattern, ...]:
     """All tilings of [0, window) by whole three-piece tiles, up to translation.
 
-    The window must be a positive integer multiple of the tile measure (1),
-    so complete patterns use each label exactly window times.  Sequences are
-    enumerated left to right; a branch dies as soon as the constant-shift
-    grouping test fails on the pieces placed so far.  A complete sequence
-    needs no further check: the i-th A, B and C pieces sit at the same
-    shifts for every i, and the first three are disjoint cells of one
-    partition, so the pieces group into whole translated tiles.  Patterns
-    that are cyclic rotations of one another are identified.
+    The window is N tile measures, N a positive integer, so each label is
+    used N times.  At scale q, the lcm of the length denominators, pieces
+    are integer intervals.  Gap shapes: the first translate's gaps are
+    filled by later ones, whose Y and Z lie right of its own, so with the
+    pieces X, Y, Z in order of position the X-Y gap is j|X| and the Y-Z gap
+    a|X| + b|Y|, j, a, b < N.  Forced move: the leftmost uncovered point can
+    only be covered by a translate starting there, so each of the 6 N^3
+    candidate tiles is one walk.  Rotations of a pattern are identified.  A
+    window above MAX_PATTERN_WINDOW raises WorkLimitError.
     """
     la, lb, lc = (as_fraction(x) for x in lengths)
     if la <= 0 or lb <= 0 or lc <= 0:
@@ -343,53 +373,18 @@ def pattern_search(
     if w.denominator != 1 or w < 1:
         raise ValueError("window must be a positive integer multiple of 1")
     n = int(w)
+    if n > MAX_PATTERN_WINDOW:
+        raise WorkLimitError(f"window {n} exceeds the limit {MAX_PATTERN_WINDOW}")
     by_label = {"A": la, "B": lb, "C": lc}
-
+    q = math.lcm(la.denominator, lb.denominator, lc.denominator)
     found: set[str] = set()
-    counts = {"A": 0, "B": 0, "C": 0}
-    pos: dict[str, list[Fraction]] = {"A": [], "B": [], "C": []}
-    shifts: dict[str, Optional[Fraction]] = {"B": None, "C": None}
-    seq: list[str] = []
-
-    def consistent(lab: str) -> bool:
-        i = len(pos[lab]) - 1
-        if lab == "A":
-            for other in "BC":
-                if i < len(pos[other]):
-                    d = pos[other][i] - pos["A"][i]
-                    if shifts[other] is None:
-                        shifts[other] = d
-                    elif shifts[other] != d:
-                        return False
-        else:
-            if len(pos["A"]) > i:
-                d = pos[lab][i] - pos["A"][i]
-                if shifts[lab] is None:
-                    shifts[lab] = d
-                elif shifts[lab] != d:
-                    return False
-        return True
-
-    def dfs(cursor: Fraction) -> None:
-        if len(seq) == 3 * n:
-            found.add(_min_rotation("".join(seq)))
-            return
-        for lab in "ABC":
-            if counts[lab] == n:
-                continue
-            old_shifts = dict(shifts)
-            counts[lab] += 1
-            pos[lab].append(cursor)
-            seq.append(lab)
-            if consistent(lab):
-                dfs(cursor + by_label[lab])
-            seq.pop()
-            pos[lab].pop()
-            counts[lab] -= 1
-            shifts.update(old_shifts)
-        return
-
-    dfs(Fraction(0))
+    for labels in map("".join, itertools.permutations("ABC")):
+        x, y, z = (int(by_label[lab] * q) for lab in labels)
+        gaps = {a * x + b * y for a in range(n) for b in range(n)}
+        for oy, g2 in itertools.product({x + j * x for j in range(n)}, gaps):
+            word = _forced_word(labels, (x, y, z, oy, oy + y + g2), n * q)
+            if word is not None:
+                found.add(_min_rotation(word))
 
     patterns = []
     for labels in sorted(found):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from spectile import ztiling
 from spectile.cli import build_parser, main, run
 
 
@@ -60,6 +61,23 @@ def test_pattern_subcommand(capsys):
     assert code == 0
     assert sorted(p["labels"] for p in rep["patterns"]) == ["ABCABC", "ACBACB"]
     assert rep["motifHits"] == []
+
+
+def test_pattern_at_the_default_window_answers(capsys):
+    start = time.monotonic()
+    code, rep = run_cli(["pattern", "--lengths", "1/2,1/3,1/6"], capsys)
+    assert time.monotonic() - start < 5
+    assert code == 0 and rep["config"]["window"] == "12"
+    assert len(rep["patterns"]) == 12
+
+
+def test_pattern_window_beyond_the_work_limit_is_an_input_error(capsys):
+    wide = str(ztiling.MAX_PATTERN_WINDOW + 1)
+    start = time.monotonic()
+    argv = ["pattern", "--lengths", "1/2,1/3,1/6", "--window", wide]
+    code, rep = run_cli(argv, capsys)
+    assert time.monotonic() - start < 1
+    assert code == 2 and wide in rep["error"]
 
 
 def test_zeroset_exit_codes(capsys):
@@ -127,6 +145,19 @@ def test_ap_subcommand(capsys):
         ["ap", "--omega", omega, "--difference", "1", "--K", "50"], capsys
     )
     assert code == 0 and rep["holds"] and rep["tiles"]
+
+
+def test_ap_input_file_with_a_spectrum_checks_the_spectrum(tmp_path, capsys):
+    # the file holds {0,1,2} + [0,1/3) and 3Z + {0,1/3,2/3}: the report is the
+    # spectrum's AP extension, as with --spectrum inline, not the --K check
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"omega": json.loads(_THIRDS),
+                                "spectrum": json.loads(_THIRDS_SPECTRUM)}))
+    tail = ["--difference", "3", "--window", "24"]
+    code, from_file = run_cli(["ap", "--input", str(pair)] + tail, capsys)
+    inline = ["ap", "--omega", _THIRDS, "--spectrum", _THIRDS_SPECTRUM] + tail
+    assert (code, from_file) == run_cli(inline, capsys)
+    assert "K" not in from_file and "tiles" not in from_file
 
 
 def test_ap_reports_no_tiling_verdict_off_measure_one(capsys):
@@ -331,9 +362,10 @@ def test_run_reads_every_option_a_subcommand_declares(tmp_path):
         ["construct", "--family", "unit4"],
         ["construct", "--family", "half", "--n", "3", "--k", "9", "--k0", "3",
          "--piece-length", "1/3"],
-        ["ap", "--input", str(pair), "--difference", "3"],
+        ["ap", "--input", str(pair), "--difference", "3", "--window", "24"],
         ["ap", "--omega", _THIRDS, "--spectrum", _THIRDS_SPECTRUM, "--difference", "3",
          "--window", "24"],
+        ["ap", "--omega", _THIRDS, "--difference", "3", "--K", "5"],
         ["rank", "--input", str(pair), "--difference", "3", "--frequency", "1/3"],
         ["vansum-classify", "--vector", vector],
         ["vansum-classify", "--input", str(pair), "--frequency", "1/3"],

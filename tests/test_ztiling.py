@@ -10,10 +10,13 @@ import pytest
 
 from spectile.errors import WorkLimitError
 from spectile.ztiling import (
+    MAX_PATTERN_WINDOW,
     MAX_REDUCED_DIAMETER,
     IntegerSet,
+    TilePattern,
     TileWitness,
     _exact_cover,
+    _min_rotation,
     _prime_power,
     brute_force_tile_period,
     motif_scan,
@@ -254,6 +257,98 @@ def test_pattern_search_validates_input():
         pattern_search([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], Fraction(3, 2))
     with pytest.raises(ValueError):
         pattern_search([Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)], 2)
+
+
+def _reference_pattern_search(lengths, window):
+    """The label-by-label search: sequences are enumerated left to right, and a
+    branch dies as soon as the i-th A, B and C pieces stop sitting at one
+    constant shift for every i.  Exponential in the window."""
+    la, lb, lc = (Fraction(x) for x in lengths)
+    n = int(window)
+    by_label = {"A": la, "B": lb, "C": lc}
+
+    found = set()
+    counts = {"A": 0, "B": 0, "C": 0}
+    pos = {"A": [], "B": [], "C": []}
+    shifts = {"B": None, "C": None}
+    seq = []
+
+    def consistent(lab):
+        i = len(pos[lab]) - 1
+        if lab == "A":
+            for other in "BC":
+                if i < len(pos[other]):
+                    d = pos[other][i] - pos["A"][i]
+                    if shifts[other] is None:
+                        shifts[other] = d
+                    elif shifts[other] != d:
+                        return False
+        else:
+            if len(pos["A"]) > i:
+                d = pos[lab][i] - pos["A"][i]
+                if shifts[lab] is None:
+                    shifts[lab] = d
+                elif shifts[lab] != d:
+                    return False
+        return True
+
+    def dfs(cursor):
+        if len(seq) == 3 * n:
+            found.add(_min_rotation("".join(seq)))
+            return
+        for lab in "ABC":
+            if counts[lab] == n:
+                continue
+            old_shifts = dict(shifts)
+            counts[lab] += 1
+            pos[lab].append(cursor)
+            seq.append(lab)
+            if consistent(lab):
+                dfs(cursor + by_label[lab])
+            seq.pop()
+            pos[lab].pop()
+            counts[lab] -= 1
+            shifts.update(old_shifts)
+
+    dfs(Fraction(0))
+
+    patterns = []
+    for labels in sorted(found):
+        placements = []
+        cursor = Fraction(0)
+        for lab in labels:
+            placements.append((cursor, lab))
+            cursor += by_label[lab]
+        patterns.append(TilePattern(Fraction(n), (la, lb, lc), tuple(placements)))
+    return tuple(patterns)
+
+
+def _ordered_triples(q_max):
+    """Every ordered triple of positive lengths summing to 1 with a common
+    denominator at most q_max."""
+    return sorted({
+        (Fraction(a, q), Fraction(b, q), Fraction(q - a - b, q))
+        for q in range(3, q_max + 1) for a in range(1, q) for b in range(1, q - a)
+    })
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_pattern_search_matches_reference(window):
+    triples = _ordered_triples(12)
+    assert len(triples) == 196
+    for lengths in triples:
+        expected = _reference_pattern_search(lengths, window)
+        got = pattern_search(lengths, window)
+        assert [p.labels for p in got] == [p.labels for p in expected], lengths
+        assert got == expected, lengths
+
+
+def test_pattern_window_above_the_limit_is_refused():
+    lengths = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    assert len(pattern_search(lengths, MAX_PATTERN_WINDOW)) > 0
+    wide = MAX_PATTERN_WINDOW + 1
+    with pytest.raises(WorkLimitError, match=f"{wide}.*{MAX_PATTERN_WINDOW}"):
+        pattern_search(lengths, wide)
 
 
 def test_motif_scan():
