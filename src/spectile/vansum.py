@@ -9,9 +9,13 @@ One classifier, `_shape`, decides the shape of six integer exponents mod n.
 It lifts them to L = lcm(n, 30), so that half, third, fifth and sixth turns
 are integers, decides vanishing with the exact kernel and then looks for the
 witness of each shape in turn.  `classify` is its adapter for vectors with
-Fraction exponents, taking n as the lcm of 30 and their denominators; the
-interaction enumerations call it through a rotation-canonical memo, and the
-weight-6 sweep calls it on each vanishing exponent tuple.
+Fraction exponents, taking n as the lcm of 30 and their denominators.
+
+The interaction graphs, the array-pair scan and the weight-6 sweep first
+decide vanishing by one integer test on packed residue rows (`_power_rows`):
+R[e] is x^e mod Phi_n, packed into one int, and a sum of at most six roots
+zeta_n^e vanishes exactly when the sum of their rows is 0.  Most sums fail
+this test; `_shape` runs only on the few that pass.
 
 The interaction enumerations bound how many residue classes of a candidate
 spectrum can pairwise differ by type2/type3 vectors, via an exact clique
@@ -40,7 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction, cyclotomic_poly, vanishes
-from .errors import ClassificationError
+from .errors import ClassificationError, WorkLimitError
 from .intervals import IntervalUnion
 from .jsonio import fraction_to_str
 
@@ -222,35 +226,34 @@ def _root_numerators(order: int, scale: int) -> list[int]:
     return [k * step for k in range(order)]
 
 
-class _TagCache:
-    """Rotation-invariant classification of integer exponent 6-tuples mod L."""
+def _power_rows(n: int, terms: int) -> list[int]:
+    """Rows R[e] = x^e mod Phi_n for e < n, each packed into one int.
 
-    def __init__(self, scale: int) -> None:
-        self.scale = scale
-        self.half = scale // 2
-        self._cache: dict[tuple[int, ...], str] = {}
-
-    def _canonical(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        # Rotations of the sorted exponents are already sorted, except those
-        # starting at a repeated value, which permute a sorted one and so
-        # never lower the min.
-        L = self.scale
-        s = sorted(exps)
-        return min(
-            tuple((e - s[i]) % L for e in s[i:] + s[:i]) for i in range(len(s))
-        )
-
-    def tag(self, exps: tuple[int, ...]) -> str:
-        key = self._canonical(exps)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._tag_of(key)
-        self._cache[key] = result
-        return result
-
-    def _tag_of(self, exps: tuple[int, ...]) -> str:
-        return _shape(exps, self.scale)[0]
+    A row's coefficient vector (c_0, ..., c_{phi(n)-1}) is packed as its
+    value at x = 2^w, with w = (terms * max|c|).bit_length() + 1.  A sum of
+    at most `terms` rows has coefficients with |c| < 2^(w-1), and a nonzero
+    integer polynomial with such coefficients does not vanish at 2^w: if c_k
+    is its lowest nonzero coefficient, its value is 2^(wk) * (c_k + 2^w * M)
+    for an integer M, and 2^w does not divide c_k.  So the packed sum is 0
+    exactly when the coefficient sum is 0, that is when Phi_n divides
+    sum x^e, that is when sum zeta_n^e = 0.  The rows are distinct, because
+    the zeta_n^e for e < n are.  For even n, R[e + n/2] = -R[e], and
+    R[-e] = R[n - e] indexes negative exponents.  The coefficients reach 2 at
+    n = 105 and 3 at n = 385, so w is read off the table.
+    """
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(cur)
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            for i in range(deg):
+                cur[i] -= carry * phi[i]
+    w = (terms * max(abs(c) for row in rows for c in row)).bit_length() + 1
+    return [sum(c << (w * i) for i, c in enumerate(row)) for row in rows]
 
 
 def _distinct_layouts(multiset: tuple[int, ...], half: int) -> list[tuple[int, ...]]:
@@ -263,49 +266,28 @@ def _distinct_layouts(multiset: tuple[int, ...], half: int) -> list[tuple[int, .
     return sorted(seen)
 
 
-def _type2_candidates(order: int, scale: int, cache: _TagCache) -> list[tuple[int, ...]]:
+def _type2_candidates(order: int, scale: int) -> list[tuple[int, ...]]:
     half, third = scale // 2, scale // 3
     out: set[tuple[int, ...]] = set()
     for s in _root_numerators(order, scale):
         multiset = tuple(
-            sorted(
-                [
-                    half,
-                    (half + third) % scale,
-                    (half + 2 * third) % scale,
-                    s,
-                    (s + third) % scale,
-                    (s + 2 * third) % scale,
-                ]
-            )
+            (base + k * third) % scale for base in (half, s) for k in range(3)
         )
-        if cache.tag(multiset) != "type2":
-            continue
-        out.update(_distinct_layouts(multiset, half))
+        if _shape(multiset, scale)[0] == "type2":
+            out.update(_distinct_layouts(multiset, half))
     return sorted(out)
 
 
-def _type3_candidates(order: int, scale: int, cache: _TagCache) -> list[tuple[int, ...]]:
+def _type3_candidates(order: int, scale: int) -> list[tuple[int, ...]]:
     half, third, fifth = scale // 2, scale // 3, scale // 5
     out: set[tuple[int, ...]] = set()
     for x in _root_numerators(order, scale):
-        multiset = tuple(
-            sorted(
-                [
-                    (x + fifth) % scale,
-                    (x + 2 * fifth) % scale,
-                    (x + 3 * fifth) % scale,
-                    (x + 4 * fifth) % scale,
-                    (x + half + third) % scale,
-                    (x + half + 2 * third) % scale,
-                ]
-            )
+        multiset = tuple((x + k * fifth) % scale for k in range(1, 5)) + (
+            (x + half + third) % scale,
+            (x + half + 2 * third) % scale,
         )
-        if half not in multiset:
-            continue
-        if cache.tag(multiset) != "type3":
-            continue
-        out.update(_distinct_layouts(multiset, half))
+        if half in multiset and _shape(multiset, scale)[0] == "type3":
+            out.update(_distinct_layouts(multiset, half))
     return sorted(out)
 
 
@@ -332,7 +314,7 @@ _POSITION_SYMMETRIES: tuple[tuple[int, ...], ...] = tuple(
 
 
 def _adjacency(
-    vertices: list[tuple[int, ...]], cache: _TagCache, allowed: set[str]
+    vertices: list[tuple[int, ...]], scale: int, allowed: set[str]
 ) -> list[int]:
     """Bitset adjacency: i ~ j (i < j) iff the tag of d(v_i, v_j) is allowed.
 
@@ -341,10 +323,13 @@ def _adjacency(
     order, each from its smallest index r.  For an edge {a, b}, let r stand
     for whichever endpoint's orbit is visited first: then {a, b} is
     g({r, j}) for some g in G and some j in r's orbit or a later one.  So
-    row r is tagged only against the indices that no earlier orbit covers
+    row r is tested only against the indices that no earlier orbit covers
     (all of them above r), and each edge found is set with all its G-images.
+    A pair is tagged only when its packed rows sum to 0; the half turns of
+    d at odd indices are the minus signs, as R[e + L/2] = -R[e].
     """
-    scale, half = cache.scale, cache.half
+    half = scale // 2
+    R = _power_rows(scale, 6)
     index = {v: i for i, v in enumerate(vertices)}
     images = [
         [index[tuple(v[k] for k in p)] for v in vertices]
@@ -356,12 +341,18 @@ def _adjacency(
     for r in range(n):
         if covered[r]:
             continue
-        vr = vertices[r]
+        vr = a0, a1, a2, a3, a4, a5 = vertices[r]
         for j in range(r + 1, n):
             if covered[j]:
                 continue
-            d = _difference_exponents(vr, vertices[j], scale, half)
-            if cache.tag(d) in allowed:
+            b0, b1, b2, b3, b4, b5 = vj = vertices[j]
+            if (
+                R[a0 - b0] - R[a1 - b1] + R[a2 - b2]
+                - R[a3 - b3] + R[a4 - b4] - R[a5 - b5]
+            ):
+                continue
+            d = _difference_exponents(vr, vj, scale, half)
+            if _shape(d, scale)[0] in allowed:
                 for img in images:
                     a, b = img[r], img[j]
                     adj[a] |= 1 << b
@@ -460,6 +451,11 @@ class InteractionReport:
         return data
 
 
+# At order m the graphs have about 40m vertices, and `--pair all` at m = 180
+# takes about 10 s on one core of a 2-vCPU Intel Xeon host.
+MAX_INTERACTION_ORDER = 180
+
+
 def _serialize_vertex(exps: tuple[int, ...], scale: int) -> tuple[str, ...]:
     return tuple(fraction_to_str(Fraction(e, scale)) for e in exps)
 
@@ -469,6 +465,10 @@ def _interaction(
 ) -> InteractionReport:
     if order_bound < 1:
         raise ValueError("order bound must be positive")
+    if order_bound > MAX_INTERACTION_ORDER:
+        raise WorkLimitError(
+            f"order bound {order_bound} exceeds the limit {MAX_INTERACTION_ORDER}"
+        )
     if kind == "type2-type2":
         if order_bound % 6 != 0:
             raise ValueError("order bound must be a multiple of 6")
@@ -478,16 +478,15 @@ def _interaction(
             raise ValueError("order bound must be a multiple of 30")
         scale = math.lcm(order_bound, 30)
     half = scale // 2
-    cache = _TagCache(scale)
 
     kinds: list[str] = []
     vertices: list[tuple[int, ...]] = []
     if kind in ("type2-type2", "type3-type2"):
-        t2 = _type2_candidates(order_bound, scale, cache)
+        t2 = _type2_candidates(order_bound, scale)
         vertices.extend(t2)
         kinds.extend(["type2"] * len(t2))
     if kind in ("type3-type3", "type3-type2"):
-        t3 = _type3_candidates(order_bound, scale, cache)
+        t3 = _type3_candidates(order_bound, scale)
         vertices.extend(t3)
         kinds.extend(["type3"] * len(t3))
 
@@ -503,7 +502,7 @@ def _interaction(
     if not assumption_filter:
         allowed = allowed | {"type1"}
 
-    adj = _adjacency(vertices, cache, allowed)
+    adj = _adjacency(vertices, scale, allowed)
     edge_count = sum(mask.bit_count() for mask in adj) // 2
 
     clique_size, clique = _max_clique(adj, n)
@@ -551,52 +550,46 @@ def _canonical_array_pairs(order_bound: int) -> tuple[int, Optional[tuple[str, s
     Both vectors are taken in the two-triple normal form; the second one is
     permuted within its triples and may have its triples swapped, and the
     signs are allocated per triple.  A pair counts when some configuration
-    has vanishing alternating products forming a type2 vector.
+    has vanishing alternating products forming a type2 vector.  With A and
+    B the packed row sums (`_power_rows`) of the two triples of products,
+    a configuration's packed sum is A - B or B - A, by its flip; so only
+    configurations with A = B are tagged, under both flips.
     """
     scale = math.lcm(order_bound, 6)
     half, third = scale // 2, scale // 3
-    cache = _TagCache(scale)
+    R = _power_rows(scale, 6)
     excluded = {half, (half + third) % scale, (half + 2 * third) % scale}
     xs = [x for x in _root_numerators(order_bound, scale) if x not in excluded]
     perms = list(itertools.permutations(range(3)))
-    count = 0
-    witness: Optional[tuple[str, str]] = None
     base = (0, third, 2 * third)
-    for x in xs:
-        row_x = base + tuple((x + t) % scale for t in base)
-        for y in xs:
-            row_y_first = base
-            row_y_second = tuple((y + t) % scale for t in base)
-            ok = False
-            for swap_blocks in (False, True):
-                b1, b2 = (
-                    (row_y_second, row_y_first)
-                    if swap_blocks
-                    else (row_y_first, row_y_second)
-                )
-                for sg, mu in itertools.product(perms, perms):
-                    arranged = tuple(b1[p] for p in sg) + tuple(b2[p] for p in mu)
-                    for flip in (0, half):
-                        terms = tuple(
-                            (row_x[i] - arranged[i] + (flip if i < 3 else half - flip))
-                            % scale
-                            for i in range(6)
-                        )
-                        if cache.tag(terms) == "type2":
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if ok:
-                    break
-            if ok:
-                count += 1
-                if witness is None:
-                    witness = (
-                        fraction_to_str(Fraction(x, scale)),
-                        fraction_to_str(Fraction(y, scale)),
+
+    def admits_type2(row_x: tuple[int, ...], block_y: tuple[int, ...]) -> bool:
+        for b1, b2 in ((base, block_y), (block_y, base)):
+            first = [sum(R[row_x[i] - b1[p[i]]] for i in range(3)) for p in perms]
+            second = [sum(R[row_x[i + 3] - b2[p[i]]] for i in range(3)) for p in perms]
+            for (sg, a), (mu, b) in itertools.product(
+                zip(perms, first), zip(perms, second)
+            ):
+                if a != b:
+                    continue
+                arranged = tuple(b1[p] for p in sg) + tuple(b2[p] for p in mu)
+                for flip in (0, half):
+                    terms = tuple(
+                        (row_x[i] - arranged[i] + (flip if i < 3 else half - flip))
+                        % scale
+                        for i in range(6)
                     )
-    return count, witness
+                    if _shape(terms, scale)[0] == "type2":
+                        return True
+        return False
+
+    shifted = {x: tuple((x + t) % scale for t in base) for x in xs}
+    pairs = [
+        (x, y) for x in xs for y in xs if admits_type2(base + shifted[x], shifted[y])
+    ]
+    if not pairs:
+        return 0, None
+    return len(pairs), tuple(fraction_to_str(Fraction(e, scale)) for e in pairs[0])
 
 
 def enumerate_type2_type2(
@@ -628,7 +621,7 @@ def enumerate_type3_type2(
     return _interaction("type3-type2", order_bound, assumption_filter)
 
 
-# The weight-6 sweep visits about m^5/120 exponent tuples at order m.
+# The weight-6 sweep visits about m^4/24 five-term prefixes at order m.
 MAX_WEIGHT6_ORDER = 60
 
 
@@ -658,58 +651,46 @@ def verify_weight6_classification(order_bound: int = 30) -> Weight6Report:
 
     Signs are absorbed as half turns, so the search runs over exponent
     multisets mod M (M doubled for odd bounds), normalized by rotation to
-    start at exponent 0.
+    start at exponent 0.  For each sorted prefix (0, e2, e3, e4, e5) the one
+    possible sixth exponent is found by looking up the negated sum of the
+    packed rows (`_power_rows`); `checked` still counts every tuple
+    (0, e2, ..., e6) with e5 <= e6 up to the first counterexample.
     """
     if order_bound < 1:
         raise ValueError("order bound must be positive")
     if order_bound > MAX_WEIGHT6_ORDER:
         raise ValueError(f"order bound exceeds the cap {MAX_WEIGHT6_ORDER}")
     m = order_bound if order_bound % 2 == 0 else 2 * order_bound
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    rows = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(m):
-        rows.append(tuple(cur))
-        carry = cur[deg - 1]
-        cur = [0] + cur[:-1]
-        if carry:
-            for i in range(deg):
-                cur[i] -= carry * phi[i]
-
-    def add(vec: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(vec, row))
+    rows = _power_rows(m, 6)
+    closing = {-row: e for e, row in enumerate(rows)}
 
     checked = 0
     vanishing = 0
-    counterexample: Optional[tuple[str, ...]] = None
     base = rows[0]
     for e2 in range(m):
-        p2 = add(base, rows[e2])
+        p2 = base + rows[e2]
         for e3 in range(e2, m):
-            p3 = add(p2, rows[e3])
+            p3 = p2 + rows[e3]
             for e4 in range(e3, m):
-                p4 = add(p3, rows[e4])
+                p4 = p3 + rows[e4]
                 for e5 in range(e4, m):
-                    p5 = add(p4, rows[e5])
-                    for e6 in range(e5, m):
-                        checked += 1
-                        if any(
-                            a + b for a, b in zip(p5, rows[e6])
-                        ):
-                            continue
-                        vanishing += 1
-                        exps = (0, e2, e3, e4, e5, e6)
-                        try:
-                            tag = _shape(exps, m)[0]
-                        except ClassificationError:
-                            tag = None
-                        if tag not in ("type1", "type2", "type3"):
-                            counterexample = tuple(
-                                fraction_to_str(Fraction(e, m)) for e in exps
-                            )
-                            return Weight6Report(
-                                False, order_bound, checked, vanishing, counterexample
-                            )
+                    e6 = closing.get(p4 + rows[e5], -1)
+                    if e6 < e5:
+                        checked += m - e5
+                        continue
+                    vanishing += 1
+                    exps = (0, e2, e3, e4, e5, e6)
+                    try:
+                        tag = _shape(exps, m)[0]
+                    except ClassificationError:
+                        tag = None
+                    if tag not in ("type1", "type2", "type3"):
+                        checked += e6 - e5 + 1
+                        counterexample = tuple(
+                            fraction_to_str(Fraction(e, m)) for e in exps
+                        )
+                        return Weight6Report(
+                            False, order_bound, checked, vanishing, counterexample
+                        )
+                    checked += m - e5
     return Weight6Report(True, order_bound, checked, vanishing, None)

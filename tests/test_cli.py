@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from spectile import ztiling
+from spectile import vansum, ztiling
 from spectile.cli import build_parser, main, run
 
 
@@ -251,6 +251,15 @@ def test_vansum_enum_rejects_nonpositive_orders(pair, order, capsys):
     code, rep = run_cli(["vansum-enum", "--pair", pair, "--order", order], capsys)
     assert code == 2
     assert rep == {"error": "order bound must be positive"}
+
+
+@pytest.mark.parametrize("pair", ["all", "type2", "type3", "mixed"])
+def test_vansum_enum_order_beyond_the_work_limit_is_an_input_error(pair, capsys):
+    order = str(vansum.MAX_INTERACTION_ORDER + 30)
+    start = time.monotonic()
+    code, rep = run_cli(["vansum-enum", "--pair", pair, "--order", order], capsys)
+    assert time.monotonic() - start < 1
+    assert code == 2 and order in rep["error"]
 
 
 def test_zeroset_at_a_large_prime_order(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 from spectile import vansum
 from spectile.cli import main
-from spectile.cyclotomic import RootOfUnity, cyclo_is_zero
+from spectile.cyclotomic import RootOfUnity, cyclo_is_zero, cyclotomic_poly, vanishes
+from spectile.errors import ClassificationError, WorkLimitError
 from spectile.intervals import IntervalUnion
 from spectile.vansum import (
     _POSITION_SYMMETRIES,
-    _TagCache,
     _difference_exponents,
+    _power_rows,
+    _shape,
     SignedRootVector,
     TypeTag,
     classify,
@@ -27,6 +30,7 @@ from spectile.vansum import (
     g_product,
     sdp,
     verify_weight6_classification,
+    Weight6Report,
 )
 
 F = Fraction
@@ -234,16 +238,35 @@ def test_weight6_counts_known_families():
 # ---------------------------------------------------------------------------
 
 
-def _all_pairs_tags(vertices, cache):
+class _TagMemo:
+    """Rotation-canonical memo of `_shape` tags: the kernel route, which
+    the interaction graphs used before the packed-row test."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        self._cache = {}
+
+    def tag(self, exps):
+        s = sorted(exps)
+        key = min(
+            tuple((e - s[i]) % self.scale for e in s[i:] + s[:i]) for i in range(6)
+        )
+        if key not in self._cache:
+            self._cache[key] = _shape(key, self.scale)[0]
+        return self._cache[key]
+
+
+def _all_pairs_tags(vertices, scale):
     """Reference: tag every pair i < j; keep the vanishing ones."""
-    scale, half = cache.scale, cache.half
+    memo = _TagMemo(scale)
+    half = scale // 2
     n = len(vertices)
     tags = {}
     for i in range(n):
         vi = vertices[i]
         for j in range(i + 1, n):
             d = _difference_exponents(vi, vertices[j], scale, half)
-            tag = cache.tag(d)
+            tag = memo.tag(d)
             if tag != "not-vanishing":
                 tags[i, j] = tag
     return tags
@@ -293,14 +316,14 @@ def test_orbit_scan_matches_all_pairs_reference(
     orbit_scan = vansum._adjacency
     reference_edges = []
 
-    def checked_adjacency(vertices, cache, allowed):
-        key = (cache.scale, tuple(vertices))
+    def checked_adjacency(vertices, scale, allowed):
+        key = (scale, tuple(vertices))
         if key not in reference_tags:
-            reference_tags[key] = _all_pairs_tags(vertices, cache)
+            reference_tags[key] = _all_pairs_tags(vertices, scale)
         adj, edge_count = _all_pairs_adjacency(
             reference_tags[key], len(vertices), allowed
         )
-        assert orbit_scan(vertices, cache, allowed) == adj
+        assert orbit_scan(vertices, scale, allowed) == adj
         reference_edges.append(edge_count)
         return adj
 
@@ -345,22 +368,9 @@ def test_tag_is_invariant_under_g_rotation_and_negation(case, g, rotation):
         tuple((e + rotation) % scale for e in exps),
         tuple(-e % scale for e in exps),
     ]
-    expected = _TagCache(scale).tag(exps)
+    expected = _shape(exps, scale)[0]
     for variant in variants:
-        cache = _TagCache(scale)  # fresh: no answer carried over from exps
-        assert cache.tag(variant) == expected
-        assert cache._tag_of(variant) == expected
-
-
-@given(
-    st.sampled_from([6, 12, 30, 60]),
-    st.lists(st.integers(0, 11), min_size=6, max_size=6),
-)
-def test_canonical_key_matches_sorting_every_rotation(scale, exps):
-    # small exponents give repeated values, whose rotations are not sorted
-    exps = tuple(e % scale for e in exps)
-    reference = min(tuple(sorted((e - r) % scale for e in exps)) for r in set(exps))
-    assert _TagCache(scale)._canonical(exps) == reference
+        assert _shape(variant, scale)[0] == expected
 
 
 def test_vansum_enum_all_30_matches_golden_report(tmp_path):
@@ -368,6 +378,154 @@ def test_vansum_enum_all_30_matches_golden_report(tmp_path):
     code = main(["--output", str(out), "vansum-enum", "--pair", "all", "--order", "30"])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "vansum_enum_all_30.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["vansum-enum", "--pair", "all"], "vansum_enum_all_60.json"),
+        (["verify-weight6"], "verify_weight6_60.json"),
+    ],
+)
+def test_default_order_60_matches_golden_report(argv, golden, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--output", str(out)] + argv) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_interaction_order_above_the_limit_raises():
+    assert vansum.MAX_INTERACTION_ORDER >= 60
+    too_large = vansum.MAX_INTERACTION_ORDER + 30
+    for enumerate_pair in _ENUMERATIONS.values():
+        with pytest.raises(WorkLimitError):
+            enumerate_pair(too_large)
+
+
+# ---------------------------------------------------------------------------
+# packed residue rows and the four-loop sweep against the five-loop sweep
+# ---------------------------------------------------------------------------
+
+
+def _reference_weight6(order_bound):
+    """The five-loop sweep with coefficient-tuple rows that the packed-row
+    sweep replaced (a sum vanishes when the first five rows add up to the
+    negated sixth); it calls `vansum._shape`, so a patch reaches it."""
+    m = order_bound if order_bound % 2 == 0 else 2 * order_bound
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    rows = []
+    cur = [0] * deg
+    cur[0] = 1
+    for _ in range(m):
+        rows.append(tuple(cur))
+        carry = cur[deg - 1]
+        cur = [0] + cur[:-1]
+        if carry:
+            for i in range(deg):
+                cur[i] -= carry * phi[i]
+
+    def add(vec, row):
+        return tuple(a + b for a, b in zip(vec, row))
+
+    negated = [tuple(-c for c in row) for row in rows]
+
+    checked = 0
+    vanishing = 0
+    for e2 in range(m):
+        p2 = add(rows[0], rows[e2])
+        for e3 in range(e2, m):
+            p3 = add(p2, rows[e3])
+            for e4 in range(e3, m):
+                p4 = add(p3, rows[e4])
+                for e5 in range(e4, m):
+                    p5 = add(p4, rows[e5])
+                    for e6 in range(e5, m):
+                        checked += 1
+                        if p5 != negated[e6]:
+                            continue
+                        vanishing += 1
+                        exps = (0, e2, e3, e4, e5, e6)
+                        try:
+                            tag = vansum._shape(exps, m)[0]
+                        except ClassificationError:
+                            tag = None
+                        if tag not in ("type1", "type2", "type3"):
+                            counterexample = tuple(
+                                vansum.fraction_to_str(F(e, m)) for e in exps
+                            )
+                            return Weight6Report(
+                                False, order_bound, checked, vanishing, counterexample
+                            )
+    return Weight6Report(True, order_bound, checked, vanishing, None)
+
+
+def test_weight6_sweep_matches_five_loop_reference():
+    for order in range(1, 31):
+        assert verify_weight6_classification(order) == _reference_weight6(order)
+
+
+@pytest.mark.parametrize("order, which", [(12, 2), (6, 0), (10, -1)])
+def test_weight6_counterexample_matches_five_loop_reference(order, which, monkeypatch):
+    # make `_shape` refuse one chosen vanishing tuple, as if it were a sum
+    # outside the three shapes
+    seen = []
+    shape = vansum._shape
+
+    def recording_shape(exps, n):
+        seen.append(tuple(exps))
+        return shape(exps, n)
+
+    monkeypatch.setattr(vansum, "_shape", recording_shape)
+    verify_weight6_classification(order)
+    target = seen[which]
+
+    def refusing_shape(exps, n):
+        if tuple(exps) == target:
+            raise ClassificationError("planted")
+        return shape(exps, n)
+
+    monkeypatch.setattr(vansum, "_shape", refusing_shape)
+    report = verify_weight6_classification(order)
+    assert not report.ok
+    assert report.counterexample == tuple(
+        vansum.fraction_to_str(F(e, 2 * order if order % 2 else order)) for e in target
+    )
+    assert report == _reference_weight6(order)
+
+
+def test_packed_rows_decide_vanishing_like_the_kernel():
+    rng = random.Random(67)
+    for n in (6, 12, 18, 30, 60, 105, 210, 330, 385):
+        rows = _power_rows(n, 6)
+        assert len(set(rows)) == n
+        half, third, fifth = n // 2, n // 3, n // 5
+        planted = []
+        if n % 2 == 0:
+            # the interaction graphs read a half turn as a minus sign
+            assert all(rows[e + half] == -rows[e] for e in range(half))
+            planted.append(lambda x, y, z: (x, x + half, y, y + half, z, z + half))
+        if n % 3 == 0:
+            planted.append(
+                lambda x, y, z: (x, x + third, x + 2 * third, y, y + third, y + 2 * third)
+            )
+        if n % 30 == 0:
+            planted.append(
+                lambda x, y, z: tuple(x + k * fifth for k in range(1, 5))
+                + (x + half + third, x + half + 2 * third)
+            )
+        hits = 0
+        for i in range(600):
+            if planted and i % 2:
+                exps = list(rng.choice(planted)(*(rng.randrange(n) for _ in range(3))))
+                if rng.random() < 0.3:
+                    exps[rng.randrange(6)] += rng.randrange(1, n)
+            else:
+                exps = [rng.randrange(n) for _ in range(6)]
+            exps = [e % n for e in exps]
+            zero = sum(rows[e] for e in exps) == 0
+            assert zero == vanishes(Counter(exps), n), (n, exps)
+            hits += zero
+        assert hits > 0 or not planted
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +582,8 @@ def _assert_matches_reference(v):
     exps = v.value_exponents()
     n = math.lcm(*(e.denominator for e in exps))
     ints = tuple(e.numerator * (n // e.denominator) for e in exps)
-    # the memo at the vector's own order, which need not be a multiple of 30
-    assert _TagCache(n).tag(ints) == expected.tag
+    # the exponents at the vector's own order, which need not be a multiple of 30
+    assert _shape(ints, n)[0] == expected.tag
 
 
 @pytest.mark.parametrize("order", [6, 10, 12, 18, 24, 30])
