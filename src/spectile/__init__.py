@@ -4,10 +4,7 @@ from .cyclotomic import (
     CycloSum,
     RootOfUnity,
     as_fraction,
-    cyclo_eval_float,
-    cyclo_is_zero,
     cyclotomic_poly,
-    root_of_unity,
     vanishes,
 )
 from .errors import ClassificationError, NoGoodPairingError, PreconditionError

@@ -19,7 +19,6 @@ WorkLimitError.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,9 +65,6 @@ class RootOfUnity:
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.exponent + other.exponent)
 
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
-
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity(-self.exponent)
 
@@ -78,14 +74,6 @@ class RootOfUnity:
 
     def complex_value(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.exponent))
-
-
-def root_of_unity(num: RationalLike, den: int = 1) -> RootOfUnity:
-    """Root with exponent num/den (num may itself be a Fraction or string)."""
-    e = as_fraction(num)
-    if den != 1:
-        e /= den
-    return RootOfUnity(e)
 
 
 @dataclass(frozen=True)
@@ -161,41 +149,6 @@ class CycloSum:
         )
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; the division must leave remainder zero.
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
-
-    Computed by exact division of x^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
-
-
 TRIAL_DIVISION_LIMIT = 2**20
 _TRIAL_SQUARE = TRIAL_DIVISION_LIMIT**2
 
@@ -248,6 +201,46 @@ def smallest_prime_factor(n: int, start: int = 2) -> int:
     return p
 
 
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    For n > 1, Phi_n(x) = prod over d | n of (1 - x^d)^mu(n/d) (Lang,
+    Algebra, VI 3): Moebius inversion of x^n - 1 = prod_{d | n} Phi_d(x),
+    with the signs of x^d - 1 cancelling because sum_{s | n} mu(s) = 0.
+    The product is built as a power series cut at degree phi(n), the degree
+    of Phi_n: each squarefree s | n, with d = n/s, multiplies by 1 - x^d
+    when mu(s) = 1 and divides by it, exactly, when mu(s) = -1.  A factor
+    with d > phi(n) is 1 at that precision and is skipped.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n == 1:
+        return (-1, 1)
+    primes: list[int] = []
+    m = n
+    while m > 1:
+        p = smallest_prime_factor(m, primes[-1] + 1 if primes else 2)
+        primes.append(p)
+        while m % p == 0:
+            m //= p
+    deg = n // math.prod(primes) * math.prod(p - 1 for p in primes)
+    squarefree = [(1, 1)]  # (s, mu(s))
+    for p in primes:
+        squarefree += [(s * p, -mu) for s, mu in squarefree]
+    poly = [1] + [0] * deg
+    for s, mu in squarefree:
+        d = n // s
+        if d > deg:
+            continue
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+    return tuple(poly)
+
+
 def vanishes(coeffs: dict[int, int], n: int) -> bool:
     """True iff the sum of c * zeta_n^k over the items (k, c) is zero.
 
@@ -287,12 +280,3 @@ def _vanishes(terms: dict[int, int], n: int, p: int) -> bool:
             return False
     return True
 
-
-def cyclo_is_zero(s: CycloSum) -> bool:
-    """True iff the complex value of s is exactly zero."""
-    return s.is_zero()
-
-
-def cyclo_eval_float(s: CycloSum) -> complex:
-    """Double-precision value of s; test-oracle companion to cyclo_is_zero."""
-    return s.eval_complex()

@@ -4,9 +4,10 @@ Membership of a rational frequency in the zero set of the indicator's
 Fourier transform reduces to exact vanishing of a sum of roots of unity:
 for lam != 0,  2*pi*i*lam * FT(lam) = sum_j e(lam*(a_j+r_j)) - e(lam*a_j).
 With q the endpoint denominator, that sum is q-periodic in lam, so
-membership depends only on lam mod q and is decided once per residue:
-`in_zero_set` reduces before its cache lookup, and `residue_member` gives
-the checks over many points an integer oracle with a per-call memo.
+membership depends only on lam mod q: `in_zero_set` scales the endpoints
+by q and asks the kernel about integer exponents mod den(lam)*q, and
+`residue_member` gives the checks over many points an integer oracle that
+decides each class once, with a per-call memo.
 The covering-multiplicity profile of the (1/d)Z translates is a step
 function with at most one step per endpoint, found by an integer sweep;
 it decides d-fold tiling.
@@ -15,13 +16,12 @@ it decides d-fold tiling.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .cyclotomic import CycloSum, RootOfUnity, as_fraction
+from .cyclotomic import CycloSum, RootOfUnity, as_fraction, vanishes
 from .errors import PreconditionError
 from .jsonio import fraction_to_pair, json_field, pair_to_fraction
 
@@ -103,11 +103,6 @@ def boundary_sum(omega: IntervalUnion, lam: object) -> CycloSum:
     return CycloSum(tuple(terms))
 
 
-@functools.lru_cache(maxsize=65536)
-def _in_zero_set_cached(omega: IntervalUnion, lam: Fraction) -> bool:
-    return boundary_sum(omega, lam).is_zero()
-
-
 def in_zero_set(omega: IntervalUnion, lam: object) -> bool:
     """Membership in the zero set of the indicator's Fourier transform.
 
@@ -119,11 +114,28 @@ def in_zero_set(omega: IntervalUnion, lam: object) -> bool:
     boundary_sum(omega, lam+q) = boundary_sum(omega, lam), and membership
     of lam != 0 depends only on lam mod q.  A nonzero multiple of q has
     every term equal to 1, so the sum is n - n = 0: residue 0 belongs.
+
+    With lam = num/den and X = q*x, e(lam*x) = zeta_n^(num*X) for
+    n = den*q, so the boundary sum is an integer sum of n-th roots of
+    unity.  Touching pieces cancel at a shared endpoint; dividing n and
+    the surviving exponents by their gcd then gives the lcm of the roots'
+    orders, so the kernel factors the least order the sum lives at.
     """
-    lam = as_fraction(lam) % omega.endpoint_denominator()
-    if lam == 0:
+    lam = as_fraction(lam)
+    q = omega.endpoint_denominator()
+    num, n = lam.numerator, lam.denominator * q
+    if num % n == 0:  # exactly when lam is a multiple of q
         return True
-    return _in_zero_set_cached(omega, lam)
+    terms: dict[int, int] = {}
+    for a, r in omega.pieces:
+        left = a.numerator * (q // a.denominator)
+        right = left + r.numerator * (q // r.denominator)
+        for end, sign in ((left, -1), (right, 1)):
+            k = num * end % n
+            terms[k] = terms.get(k, 0) + sign
+    terms = {k: c for k, c in terms.items() if c}
+    g = math.gcd(n, *terms)
+    return vanishes({k // g: c for k, c in terms.items()}, n // g)
 
 
 def residue_member(

@@ -59,16 +59,21 @@ class PeriodicSet:
         return as_fraction(x) % self.period in self.cosets
 
     def points_in_window(self, window: object) -> tuple[Fraction, ...]:
+        """The points in [-window, window], sorted.
+
+        Scaled by the lcm L of every denominator, coset c runs through
+        C + kP (C = cL, P = period*L); the least such point >= -W
+        (W = window*L) is C - floor((W + C)/P)*P.
+        """
         w = as_fraction(window)
-        out = []
-        k_min = math.floor((-w) / self.period) - 1
-        k_max = math.ceil(w / self.period) + 1
-        for k in range(k_min, k_max + 1):
-            for c in self.cosets:
-                x = c + k * self.period
-                if -w <= x <= w:
-                    out.append(x)
-        return tuple(sorted(out))
+        scale = math.lcm(self.period.denominator, w.denominator,
+                         *(c.denominator for c in self.cosets))
+        step, top = int(self.period * scale), int(w * scale)
+        points = []
+        for c in self.cosets:
+            first = int(c * scale)
+            points += range(first - (top + first) // step * step, top + 1, step)
+        return tuple(Fraction(x, scale) for x in sorted(points))
 
     def residues_mod_one(self) -> tuple[Fraction, ...]:
         """The finitely many values of the set reduced mod 1."""
@@ -425,9 +430,8 @@ def ap_extension_check(omega: IntervalUnion, d: object, window_k: int) -> bool:
     """Once 0, d, ..., (2n-1)d lie in the zero set, so must every kd.
 
     Precondition failures raise; a False return is a counterexample flag for
-    the completion property itself.  Each kd is one `in_zero_set` query;
-    that reduces kd mod q, so a repeated residue is a cache hit and a
-    multiple of q needs no kernel call.
+    the completion property itself.  Each kd is one `in_zero_set` query,
+    one integer kernel call, or none when kd is a multiple of q.
     """
     d = as_fraction(d)
     if d <= 0:

@@ -226,12 +226,12 @@ def _root_numerators(order: int, scale: int) -> list[int]:
     return [k * step for k in range(order)]
 
 
-def _power_rows(n: int, terms: int) -> list[int]:
+def _power_rows(n: int) -> list[int]:
     """Rows R[e] = x^e mod Phi_n for e < n, each packed into one int.
 
     A row's coefficient vector (c_0, ..., c_{phi(n)-1}) is packed as its
-    value at x = 2^w, with w = (terms * max|c|).bit_length() + 1.  A sum of
-    at most `terms` rows has coefficients with |c| < 2^(w-1), and a nonzero
+    value at x = 2^w, with w = (6 * max|c|).bit_length() + 1.  A signed sum
+    of at most six rows has coefficients with |c| < 2^(w-1), and a nonzero
     integer polynomial with such coefficients does not vanish at 2^w: if c_k
     is its lowest nonzero coefficient, its value is 2^(wk) * (c_k + 2^w * M)
     for an integer M, and 2^w does not divide c_k.  So the packed sum is 0
@@ -252,7 +252,7 @@ def _power_rows(n: int, terms: int) -> list[int]:
         if carry:
             for i in range(deg):
                 cur[i] -= carry * phi[i]
-    w = (terms * max(abs(c) for row in rows for c in row)).bit_length() + 1
+    w = (6 * max(abs(c) for row in rows for c in row)).bit_length() + 1
     return [sum(c << (w * i) for i, c in enumerate(row)) for row in rows]
 
 
@@ -329,7 +329,7 @@ def _adjacency(
     d at odd indices are the minus signs, as R[e + L/2] = -R[e].
     """
     half = scale // 2
-    R = _power_rows(scale, 6)
+    R = _power_rows(scale)
     index = {v: i for i, v in enumerate(vertices)}
     images = [
         [index[tuple(v[k] for k in p)] for v in vertices]
@@ -557,7 +557,7 @@ def _canonical_array_pairs(order_bound: int) -> tuple[int, Optional[tuple[str, s
     """
     scale = math.lcm(order_bound, 6)
     half, third = scale // 2, scale // 3
-    R = _power_rows(scale, 6)
+    R = _power_rows(scale)
     excluded = {half, (half + third) % scale, (half + 2 * third) % scale}
     xs = [x for x in _root_numerators(order_bound, scale) if x not in excluded]
     perms = list(itertools.permutations(range(3)))
@@ -661,7 +661,7 @@ def verify_weight6_classification(order_bound: int = 30) -> Weight6Report:
     if order_bound > MAX_WEIGHT6_ORDER:
         raise ValueError(f"order bound exceeds the cap {MAX_WEIGHT6_ORDER}")
     m = order_bound if order_bound % 2 == 0 else 2 * order_bound
-    rows = _power_rows(m, 6)
+    rows = _power_rows(m)
     closing = {-row: e for e, row in enumerate(rows)}
 
     checked = 0

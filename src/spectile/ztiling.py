@@ -217,6 +217,7 @@ def _least_period(c: int, g: int) -> int:
     return c * (g // coprime)
 
 
+# Translates of one set share an entry: callers pass it shifted to start at 0.
 @functools.lru_cache(maxsize=8192)
 def _tile_period_cached(
     elements: tuple[int, ...], m_max: int

@@ -270,6 +270,17 @@ def test_zeroset_at_a_large_prime_order(capsys):
     assert code == 1 and rep["inZeroSet"] is False
 
 
+def test_zeroset_with_two_large_prime_denominators(capsys):
+    # q = 1048583 * 1048589 is beyond trial division and not prime, but at
+    # lam = 1048583 the roots' orders all divide 1048589, a prime.
+    omega = ('{"pieces":[[["0","1"],["1","1048583"]],'
+             '[["1","1"],["1","1048589"]]]}')
+    start = time.monotonic()
+    code, rep = run_cli(["zeroset", "--omega", omega, "--frequency", "1048583"], capsys)
+    assert time.monotonic() - start < 1
+    assert code == 1 and rep["inZeroSet"] is False
+
+
 @pytest.mark.parametrize(
     "frequency, code",
     [

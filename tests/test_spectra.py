@@ -1,6 +1,7 @@
 """Spectrum verification, constructions, pairings, progressions, rank cases."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,33 @@ def test_periodic_set_basics():
     assert pts[0] == -2 and pts[-1] == 2 and F(4, 3) in pts
     with pytest.raises(ValueError):
         PeriodicSet(F(1), (F(1, 3),))
+
+
+def reference_points_in_window(pset, window):
+    # Every coset shifted by k periods, k over the window's range and one
+    # more each side, kept when inside [-window, window].
+    w = F(window)
+    out = []
+    k_min = math.floor((-w) / pset.period) - 1
+    k_max = math.ceil(w / pset.period) + 1
+    for k in range(k_min, k_max + 1):
+        for c in pset.cosets:
+            x = c + k * pset.period
+            if -w <= x <= w:
+                out.append(x)
+    return tuple(sorted(out))
+
+
+def test_points_in_window_matches_the_shift_loop():
+    rng = random.Random(29)
+    for _ in range(2000):
+        period = F(rng.randint(1, 30), rng.randint(1, 12))
+        cosets = [F(0)] + [F(rng.randint(-50, 50), rng.randint(1, 12))
+                           for _ in range(rng.randint(0, 4))]
+        pset = PeriodicSet(period, tuple(cosets))
+        below_a_period = period * F(rng.randint(0, 11), 12)
+        for window in (F(0), below_a_period, F(rng.randint(1, 40), rng.randint(1, 12))):
+            assert pset.points_in_window(window) == reference_points_in_window(pset, window)
 
 
 def test_periodic_set_json():
