@@ -7,9 +7,10 @@ x*(five special fifth roots) plus -x*(two primitive cube roots) (type3).
 
 One classifier, `_shape`, decides the shape of six integer exponents mod n.
 It lifts them to L = lcm(n, 30), so that half, third, fifth and sixth turns
-are integers, decides vanishing with the exact kernel and then looks for the
-witness of each shape in turn.  `classify` is its adapter for vectors with
-Fraction exponents, taking n as the lcm of 30 and their denominators.
+are integers, and looks for the witness of each shape in turn.  Each witness
+is a vanishing sum by itself, so a witness proves vanishing, and the exact
+kernel decides only the sums that no witness fits.  `classify` is its
+adapter for vectors with Fraction exponents, at L = lcm(30, denominators).
 
 The interaction graphs, the array-pair scan and the weight-6 sweep first
 decide vanishing by one integer test on packed residue rows (`_power_rows`):
@@ -79,6 +80,9 @@ _TRIPLE_SPLITS: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = tuple(
     )
     for rest in itertools.combinations(range(1, 6), 2)
 )
+
+# type3 normal form x + (L/30)*offset: the four fifths, then the two sixths
+_TYPE3_OFFSETS = (6, 12, 18, 24, 5, 25)
 
 
 @dataclass(frozen=True)
@@ -152,46 +156,59 @@ def _shape(exps: Sequence[int], n: int) -> tuple[str, object]:
 
     The exponents are lifted to L = lcm(n, 30), where half, third, fifth and
     sixth turns are integers.  Pair partitions are tried before triple
-    splits, then the type3 normal form; a vanishing sum that fits none of
-    them raises ClassificationError.
+    splits, then the type3 normal form; the first witness found is returned.
+    Each witness vanishes by itself: antipodal pairs cancel, a rotated
+    cube-root triple sums to 0, and x*(z5 + z5^2 + z5^3 + z5^4) = -x while
+    x*(z6 + z6^5) = x.  So a non-vanishing sum fits no witness, a vanishing
+    one gets the same first witness as under a kernel-first order, and the
+    kernel decides only sums with no witness: not-vanishing, or
+    ClassificationError.  A pair partition needs the multiset closed under
+    +L/2, a triple split under +L/3.  Lifted type3 exponents e are distinct
+    and congruent mod u = L/30, and x is e[0] - offset*u for one offset; the
+    witness is unique, as x's fifth coset is the only one with four terms.
     """
     L = math.lcm(n, 30)
     step = L // n
     e = [k * step % L for k in exps]
+    half, third, u = L // 2, L // 3, L // 30
+    s = sorted(e)
+    if s == sorted((k + half) % L for k in e):
+        for partition in _PAIR_PARTITIONS:
+            if all((e[i] - e[j]) % L == half for i, j in partition):
+                return "type1", partition
+    if s == sorted((k + third) % L for k in e):
+        turns = {third, 2 * third}
+        for left, right in _TRIPLE_SPLITS:
+            if all(
+                {(e[b] - e[a]) % L, (e[c] - e[a]) % L} == turns
+                for a, b, c in (left, right)
+            ):
+                return "type2", (left, right)
+    if len(set(e)) == 6 and all((k - e[0]) % u == 0 for k in e):
+        for offset in _TYPE3_OFFSETS:
+            x = (e[0] - offset * u) % L
+            place = [(k - x) % L // u for k in e]
+            if sorted(place) == sorted(_TYPE3_OFFSETS):
+                quad = tuple(i for i in range(6) if place[i] in _TYPE3_OFFSETS[:4])
+                pair = tuple(i for i in range(6) if i not in quad)
+                return "type3", (RootOfUnity(Fraction(x, L)), quad, pair)
     if not vanishes(Counter(e), L):
         return "not-vanishing", None
-    half, third, fifth, sixth = L // 2, L // 3, L // 5, L // 6
-    for partition in _PAIR_PARTITIONS:
-        if all((e[i] - e[j]) % L == half for i, j in partition):
-            return "type1", partition
-    turns = {third, 2 * third}
-    for left, right in _TRIPLE_SPLITS:
-        if all(
-            {(e[b] - e[a]) % L, (e[c] - e[a]) % L} == turns
-            for a, b, c in (left, right)
-        ):
-            return "type2", (left, right)
-    for pair in itertools.combinations(range(6), 2):
-        quad = tuple(i for i in range(6) if i not in pair)
-        for j in range(1, 5):
-            x = (e[quad[0]] - j * fifth) % L
-            if {e[i] for i in quad} != {(x + i * fifth) % L for i in range(1, 5)}:
-                continue
-            if {e[i] for i in pair} == {(x + 5 * sixth) % L, (x + sixth) % L}:
-                return "type3", (RootOfUnity(Fraction(x, L)), quad, pair)
     raise ClassificationError("vanishing six-term sum outside the three known shapes")
 
 
 def classify(v: SignedRootVector) -> TypeTag:
     """Trichotomy tag for the vector's total, with structural witness.
 
-    The exponents are brought to a common denominator and classified by
-    `_shape`; the pair partition is preferred over the triple split when
-    both exist.
+    With L = lcm(30, root denominators) each component is the integer
+    exponent num*(L/den), plus L/2 for a minus sign, and `_shape` tags the
+    sum; the kernel runs only when no shape fits.  The pair partition is
+    preferred over the triple split when both exist.
     """
-    exps = v.value_exponents()
-    L = math.lcm(30, *(e.denominator for e in exps))
-    return TypeTag(*_shape([e.numerator * (L // e.denominator) for e in exps], L))
+    L = math.lcm(30, *(r.exponent.denominator for _, r in v.terms))
+    exps = [r.exponent.numerator * (L // r.exponent.denominator) for _, r in v.terms]
+    flips = [0 if sign == 1 else L // 2 for sign, _ in v.terms]
+    return TypeTag(*_shape([e + f for e, f in zip(exps, flips)], L))
 
 
 def g_product(v: SignedRootVector, w: SignedRootVector) -> SignedRootVector:
@@ -326,7 +343,8 @@ def _adjacency(
     row r is tested only against the indices that no earlier orbit covers
     (all of them above r), and each edge found is set with all its G-images.
     A pair is tagged only when its packed rows sum to 0; the half turns of
-    d at odd indices are the minus signs, as R[e + L/2] = -R[e].
+    d at odd indices are the minus signs, as R[e + L/2] = -R[e].  Row r
+    reads its six signed columns c_k[b] = +-R[a_k - b] from one table.
     """
     half = scale // 2
     R = _power_rows(scale)
@@ -341,17 +359,17 @@ def _adjacency(
     for r in range(n):
         if covered[r]:
             continue
-        vr = a0, a1, a2, a3, a4, a5 = vertices[r]
+        c0, c1, c2, c3, c4, c5 = (
+            [R[a - b] if k % 2 == 0 else -R[a - b] for b in range(scale)]
+            for k, a in enumerate(vertices[r])
+        )
         for j in range(r + 1, n):
             if covered[j]:
                 continue
             b0, b1, b2, b3, b4, b5 = vj = vertices[j]
-            if (
-                R[a0 - b0] - R[a1 - b1] + R[a2 - b2]
-                - R[a3 - b3] + R[a4 - b4] - R[a5 - b5]
-            ):
+            if c0[b0] + c1[b1] + c2[b2] + c3[b3] + c4[b4] + c5[b5]:
                 continue
-            d = _difference_exponents(vr, vj, scale, half)
+            d = _difference_exponents(vertices[r], vj, scale, half)
             if _shape(d, scale)[0] in allowed:
                 for img in images:
                     a, b = img[r], img[j]
@@ -452,7 +470,7 @@ class InteractionReport:
 
 
 # At order m the graphs have about 40m vertices, and `--pair all` at m = 180
-# takes about 10 s on one core of a 2-vCPU Intel Xeon host.
+# takes about 5 s on one core of a 2-vCPU Intel Xeon host.
 MAX_INTERACTION_ORDER = 180
 
 
@@ -659,7 +677,9 @@ def verify_weight6_classification(order_bound: int = 30) -> Weight6Report:
     if order_bound < 1:
         raise ValueError("order bound must be positive")
     if order_bound > MAX_WEIGHT6_ORDER:
-        raise ValueError(f"order bound exceeds the cap {MAX_WEIGHT6_ORDER}")
+        raise WorkLimitError(
+            f"order bound {order_bound} exceeds the limit {MAX_WEIGHT6_ORDER}"
+        )
     m = order_bound if order_bound % 2 == 0 else 2 * order_bound
     rows = _power_rows(m)
     closing = {-row: e for e, row in enumerate(rows)}

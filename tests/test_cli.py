@@ -262,6 +262,13 @@ def test_vansum_enum_order_beyond_the_work_limit_is_an_input_error(pair, capsys)
     assert code == 2 and order in rep["error"]
 
 
+def test_verify_weight6_order_beyond_the_work_limit_is_an_input_error(capsys):
+    order = str(vansum.MAX_WEIGHT6_ORDER + 1)
+    code, rep = run_cli(["verify-weight6", "--order", order], capsys)
+    assert code == 2
+    assert rep == {"error": f"order bound {order} exceeds the limit 60"}
+
+
 def test_zeroset_at_a_large_prime_order(capsys):
     omega = '{"pieces":[[["0","1"],["1","2"]],[["2","1"],["1","3"]]]}'
     start = time.monotonic()

@@ -221,8 +221,9 @@ def test_weight6_small_orders():
     assert rep.ok and rep.counterexample is None
     rep = verify_weight6_classification(2)
     assert rep.ok
-    with pytest.raises(ValueError):
-        verify_weight6_classification(120)
+    too_large = vansum.MAX_WEIGHT6_ORDER + 1
+    with pytest.raises(WorkLimitError, match=f"order bound {too_large} exceeds the limit 60"):
+        verify_weight6_classification(too_large)
 
 
 def test_weight6_counts_known_families():
@@ -239,8 +240,9 @@ def test_weight6_counts_known_families():
 
 
 class _TagMemo:
-    """Rotation-canonical memo of `_shape` tags: the kernel route, which
-    the interaction graphs used before the packed-row test."""
+    """Rotation-canonical memo of tags by the kernel route, which the
+    interaction graphs used before the packed-row test: `vanishes` decides
+    every pair, and `_shape` only names the shape of a vanishing one."""
 
     def __init__(self, scale):
         self.scale = scale
@@ -252,7 +254,10 @@ class _TagMemo:
             tuple((e - s[i]) % self.scale for e in s[i:] + s[:i]) for i in range(6)
         )
         if key not in self._cache:
-            self._cache[key] = _shape(key, self.scale)[0]
+            if vanishes(Counter(key), self.scale):
+                self._cache[key] = _shape(key, self.scale)[0]
+            else:
+                self._cache[key] = "not-vanishing"
         return self._cache[key]
 
 
@@ -371,6 +376,59 @@ def test_tag_is_invariant_under_g_rotation_and_negation(case, g, rotation):
     expected = _shape(exps, scale)[0]
     for variant in variants:
         assert _shape(variant, scale)[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# witness first: the kernel decides only the sums that no shape fits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The orders of the kernel calls `vansum` makes, through a wrapper."""
+    calls = []
+
+    def counting_vanishes(coeffs, n):
+        calls.append(n)
+        return vanishes(coeffs, n)
+
+    monkeypatch.setattr(vansum, "vanishes", counting_vanishes)
+    return calls
+
+
+def test_shaped_sums_never_reach_the_kernel(kernel_calls):
+    assert verify_weight6_classification(30).ok
+    for enumerate_pair in _ENUMERATIONS.values():
+        enumerate_pair(30)
+    assert vansum._canonical_array_pairs(18)[0] > 0
+    assert kernel_calls == []
+    assert classify(vec(0, 0, W, 2 * W, F(1, 5), F(4, 5))).tag == "not-vanishing"
+    assert kernel_calls == [30]
+
+
+def test_a_sum_no_shape_fits_is_decided_by_the_kernel(monkeypatch, kernel_calls):
+    monkeypatch.setattr(vansum, "_PAIR_PARTITIONS", ())
+    monkeypatch.setattr(vansum, "_TRIPLE_SPLITS", ())
+    monkeypatch.setattr(vansum, "_TYPE3_OFFSETS", ())
+    shaped = {
+        "type1": (0, 15, 4, 19, 7, 22),
+        "type2": (1, 11, 21, 3, 13, 23),
+        "type3": (6, 12, 18, 24, 5, 25),
+    }
+    for exps in shaped.values():
+        with pytest.raises(ClassificationError):
+            _shape(exps, 30)
+    rng = random.Random(71)
+    randoms = [[rng.randrange(30) for _ in range(6)] for _ in range(50)]
+    randoms = [exps for exps in randoms if not vanishes(Counter(exps), 30)]
+    assert len(randoms) > 40
+    for exps in randoms:
+        assert _shape(exps, 30) == ("not-vanishing", None)
+    assert kernel_calls == [30] * (3 + len(randoms))
+    monkeypatch.undo()
+    assert {tag: _shape(exps, 30)[0] for tag, exps in shaped.items()} == {
+        tag: tag for tag in shaped
+    }
 
 
 def test_vansum_enum_all_30_matches_golden_report(tmp_path):
@@ -576,6 +634,13 @@ def _reference_classify(v):
     return TypeTag("type3", normal)
 
 
+def _assert_witness_vanishes(exps, n, result):
+    """A sum `_shape` gives a witness for vanishes by the kernel too."""
+    if result[0] != "not-vanishing":
+        L = math.lcm(n, 30)
+        assert vanishes(Counter(k * (L // n) % L for k in exps), L), (exps, n, result)
+
+
 def _assert_matches_reference(v):
     expected = _reference_classify(v)
     assert classify(v) == expected
@@ -583,7 +648,9 @@ def _assert_matches_reference(v):
     n = math.lcm(*(e.denominator for e in exps))
     ints = tuple(e.numerator * (n // e.denominator) for e in exps)
     # the exponents at the vector's own order, which need not be a multiple of 30
-    assert _shape(ints, n)[0] == expected.tag
+    result = _shape(ints, n)
+    assert result[0] == expected.tag
+    _assert_witness_vanishes(ints, n, result)
 
 
 @pytest.mark.parametrize("order", [6, 10, 12, 18, 24, 30])
@@ -601,6 +668,7 @@ def test_shape_matches_reference_on_weight6_sweep(order, monkeypatch):
     monkeypatch.undo()
     assert report.ok and len(calls) == report.vanishing > 0
     for exps, n, result in calls:
+        _assert_witness_vanishes(exps, n, result)
         v = SignedRootVector.from_value_exponents([F(e, n) for e in exps])
         assert TypeTag(*result) == _reference_classify(v)
         _assert_matches_reference(v)
