@@ -7,7 +7,12 @@ from .cyclotomic import (
     cyclotomic_poly,
     vanishes,
 )
-from .errors import ClassificationError, NoGoodPairingError, PreconditionError
+from .errors import (
+    ClassificationError,
+    InvariantError,
+    NoGoodPairingError,
+    PreconditionError,
+)
 from .intervals import (
     IntervalUnion,
     LevelProfile,

@@ -25,7 +25,9 @@ assumption filter, at their defaults where the subcommand has no such
 option) and emits exact rationals as strings; floats appear only in fields
 named numericCrossCheck.  Exit status: 0 when the computation succeeded (and
 any verified claim holds), 1 when a checked claim is refuted (the report
-carries the witness), 2 on input or precondition errors.
+carries the witness) or a proved case split meets a case outside it (the
+report carries an "error"), 2 on input or precondition errors and on inputs
+beyond a stated work limit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 from . import spectra, vansum, ztiling
 from .cyclotomic import RootOfUnity, as_fraction
-from .errors import PreconditionError
+from .errors import ClassificationError, InvariantError, PreconditionError
 from .intervals import IntervalUnion, d_tiles, fourier_indicator, in_zero_set
 from .jsonio import fraction_to_str, json_field, parse_fraction
 from .spectra import FiniteSpectrumWindow, PeriodicSet
@@ -319,6 +321,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "line": exc.lineno,
             "column": exc.colno,
         }
+    except (ClassificationError, InvariantError) as exc:
+        # a counterexample to a proved case split refutes the checker's claim
+        status, report = REFUTED, {"error": str(exc)}
     except (PreconditionError, ValueError, TypeError, OSError) as exc:
         status, report = BAD_INPUT, {"error": str(exc)}
     text = json.dumps(report, sort_keys=True, indent=2)

@@ -13,5 +13,9 @@ class ClassificationError(ValueError):
     """A vanishing six-term sum did not fit any of the three known shapes."""
 
 
+class InvariantError(ArithmeticError):
+    """A case analysis proved to be exhaustive met a case outside it."""
+
+
 class WorkLimitError(ValueError):
     """An exact search would exceed the module's fixed work limit."""

@@ -1,11 +1,18 @@
 """Finite unions of half-open intervals and their Fourier zero set.
 
+An `IntervalUnion` carries, besides its Fraction pieces, one integer form
+built at construction: q, the lcm of every endpoint denominator, and the
+q-scaled endpoints (q*a, q*(a + r)) of each piece.  The overlap check runs
+on those integers, and `endpoint_denominator`, `in_zero_set` and
+`level_function` read them, so no query redoes Fraction arithmetic on the
+pieces.
+
 Membership of a rational frequency in the zero set of the indicator's
 Fourier transform reduces to exact vanishing of a sum of roots of unity:
 for lam != 0,  2*pi*i*lam * FT(lam) = sum_j e(lam*(a_j+r_j)) - e(lam*a_j).
 With q the endpoint denominator, that sum is q-periodic in lam, so
-membership depends only on lam mod q: `in_zero_set` scales the endpoints
-by q and asks the kernel about integer exponents mod den(lam)*q, and
+membership depends only on lam mod q: `in_zero_set` takes the scaled
+endpoints and asks the kernel about integer exponents mod den(lam)*q, and
 `residue_member` gives the checks over many points an integer oracle that
 decides each class once, with a per-call memo.
 The covering-multiplicity profile of the (1/d)Z translates is a step
@@ -33,18 +40,26 @@ class IntervalUnion:
     pieces: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(
-            sorted((as_fraction(a), as_fraction(r)) for a, r in self.pieces)
-        )
-        if not norm:
+        pieces = [(as_fraction(a), as_fraction(r)) for a, r in self.pieces]
+        if not pieces:
             raise ValueError("at least one piece required")
-        for a, r in norm:
-            if r <= 0:
+        q = math.lcm(*(x.denominator for piece in pieces for x in piece))
+        scaled = []
+        for a, r in pieces:
+            left = a.numerator * (q // a.denominator)
+            scaled.append(((left, left + r.numerator * (q // r.denominator)), (a, r)))
+        scaled.sort()
+        for (left, right), (_, r) in scaled:
+            if right <= left:
                 raise ValueError(f"piece length must be positive, got {r}")
-        for (a1, r1), (a2, _) in zip(norm, norm[1:]):
-            if a1 + r1 > a2:
-                raise ValueError(f"pieces overlap near {a2}")
-        object.__setattr__(self, "pieces", norm)
+        for ((_, right), _), ((left, _), (a, _)) in zip(scaled, scaled[1:]):
+            if right > left:
+                raise ValueError(f"pieces overlap near {a}")
+        object.__setattr__(self, "pieces", tuple(piece for _, piece in scaled))
+        # The integer form: not fields, so equality, hashing and repr see
+        # only the pieces.
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_ends", tuple(ends for ends, _ in scaled))
 
     @staticmethod
     def from_pieces(pieces: Iterable[tuple[object, object]]) -> "IntervalUnion":
@@ -74,7 +89,7 @@ class IntervalUnion:
 
     def endpoint_denominator(self) -> int:
         """lcm of the endpoints' denominators, which is that of the a and r."""
-        return math.lcm(*(x.denominator for piece in self.pieces for x in piece))
+        return self._q
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,17 +137,15 @@ def in_zero_set(omega: IntervalUnion, lam: object) -> bool:
     orders, so the kernel factors the least order the sum lives at.
     """
     lam = as_fraction(lam)
-    q = omega.endpoint_denominator()
-    num, n = lam.numerator, lam.denominator * q
+    num, n = lam.numerator, lam.denominator * omega._q
     if num % n == 0:  # exactly when lam is a multiple of q
         return True
     terms: dict[int, int] = {}
-    for a, r in omega.pieces:
-        left = a.numerator * (q // a.denominator)
-        right = left + r.numerator * (q // r.denominator)
-        for end, sign in ((left, -1), (right, 1)):
-            k = num * end % n
-            terms[k] = terms.get(k, 0) + sign
+    for left, right in omega._ends:
+        k = num * left % n
+        terms[k] = terms.get(k, 0) - 1
+        k = num * right % n
+        terms[k] = terms.get(k, 0) + 1
     terms = {k: c for k, c in terms.items() if c}
     g = math.gcd(n, *terms)
     return vanishes({k // g: c for k, c in terms.items()}, n // g)
@@ -215,14 +228,14 @@ def level_function(omega: IntervalUnion, d: int) -> LevelProfile:
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    q = omega.endpoint_denominator()
-    grid = math.lcm(q, d)
+    grid = math.lcm(omega._q, d)
     cells = grid // d
+    lift = grid // omega._q
     level = 0
     steps: dict[int, int] = {}
-    for a, r in omega.pieces:
-        for end, sign in ((a, 1), (a + r, -1)):
-            t, e = divmod(end.numerator * (grid // end.denominator), cells)
+    for left, right in omega._ends:
+        for end, sign in ((left, 1), (right, -1)):
+            t, e = divmod(end * lift, cells)
             level -= sign * t
             steps[e] = steps.get(e, 0) + sign
     values: list[int] = []

@@ -1,13 +1,17 @@
 """Candidate spectra: orthogonality, completeness, constructions, progressions.
 
 A candidate spectrum is held either as a periodic set (cosets + period) or as
-a finite window of points.  Orthogonality of the exponential system reduces
-to membership of pairwise differences in the Fourier zero set.  That zero
-set is periodic mod q, the endpoint denominator of the base set, so the
-checks scale their points once to integers (by the lcm L of their
-denominators) and ask `intervals.residue_member` about classes mod q*L:
-each distinct class of differences is decided once, by integer reduction,
-and the points are scanned in order only to name a witness.
+a finite window of points.  The window's form is integer: a scale L, the
+least common denominator of its points and its bound, and the points times
+L, sorted and distinct.  `PeriodicSet.scaled_window` builds that form
+straight from the cosets, after counting the points against
+MAX_WINDOW_POINTS, and a Fraction is made only for a reported witness.
+Orthogonality of the exponential system reduces to membership of pairwise
+differences in the Fourier zero set.  That zero set is periodic mod q, the
+endpoint denominator of the base set, so the checks ask
+`intervals.residue_member` about the scaled points' classes mod q*L: each
+distinct class of differences is decided once, by integer reduction, and
+the points are scanned in order only to name a witness.
 Completeness is decided through the unitary matrix criterion when the base
 set is a union of unit cells and the candidate is periodic and rational,
 and reported as undecided otherwise.
@@ -22,7 +26,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycloSum, RootOfUnity, as_fraction
-from .errors import NoGoodPairingError, PreconditionError
+from .errors import (
+    InvariantError,
+    NoGoodPairingError,
+    PreconditionError,
+    WorkLimitError,
+)
 from .intervals import (
     IntervalUnion,
     boundary_sum,
@@ -32,6 +41,14 @@ from .intervals import (
 )
 from .jsonio import fraction_to_pair, fraction_to_str, json_field, pair_to_fraction
 from .ztiling import IntegerSet
+
+# Windows of more points are refused before any is built, so that a windowed
+# check stays within bounded memory and time: a periodic window of 10^5
+# points is checked in about 0.2 s and 40 MB (2 vCPU Xeon, Python 3.11).
+MAX_WINDOW_POINTS = 100_000
+# `ap_extension_check` makes two zero-set queries per k: K = 10^5 takes
+# about 1 s on the same host.
+MAX_AP_K = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,22 +75,37 @@ class PeriodicSet:
     def contains(self, x: object) -> bool:
         return as_fraction(x) % self.period in self.cosets
 
-    def points_in_window(self, window: object) -> tuple[Fraction, ...]:
-        """The points in [-window, window], sorted.
+    def scaled_window(self, window: object) -> tuple[int, list[int]]:
+        """(L, the points in [-window, window] times L, sorted).
 
-        Scaled by the lcm L of every denominator, coset c runs through
-        C + kP (C = cL, P = period*L); the least such point >= -W
-        (W = window*L) is C - floor((W + C)/P)*P.
+        L is the lcm of every denominator.  Scaled by L, coset c runs
+        through C + kP (C = cL, P = period*L, 0 <= C < P); with W = window*L
+        there are floor((W + C)/P) + floor((W - C)/P) + 1 such points in
+        [-W, W], the least being C - floor((W + C)/P)*P.  The count is
+        taken before any point is built, and above MAX_WINDOW_POINTS
+        WorkLimitError is raised.
         """
         w = as_fraction(window)
         scale = math.lcm(self.period.denominator, w.denominator,
                          *(c.denominator for c in self.cosets))
-        step, top = int(self.period * scale), int(w * scale)
-        points = []
-        for c in self.cosets:
-            first = int(c * scale)
-            points += range(first - (top + first) // step * step, top + 1, step)
-        return tuple(Fraction(x, scale) for x in sorted(points))
+        step = self.period.numerator * (scale // self.period.denominator)
+        top = w.numerator * (scale // w.denominator)
+        firsts = [c.numerator * (scale // c.denominator) for c in self.cosets]
+        count = sum(max(0, (top + c) // step + (top - c) // step + 1) for c in firsts)
+        if count > MAX_WINDOW_POINTS:
+            raise WorkLimitError(
+                f"window {w} holds {count} points, above the limit {MAX_WINDOW_POINTS}"
+            )
+        points: list[int] = []
+        for c in firsts:
+            points += range(c - (top + c) // step * step, top + 1, step)
+        points.sort()
+        return scale, points
+
+    def points_in_window(self, window: object) -> tuple[Fraction, ...]:
+        """The points in [-window, window], sorted."""
+        scale, points = self.scaled_window(window)
+        return tuple(Fraction(x, scale) for x in points)
 
     def residues_mod_one(self) -> tuple[Fraction, ...]:
         """The finitely many values of the set reduced mod 1."""
@@ -101,29 +133,53 @@ class PeriodicSet:
 
 @dataclass(frozen=True)
 class FiniteSpectrumWindow:
-    """Finite point set inside [-window, window], containing 0."""
+    """Finite point set inside [-window, window], containing 0.
 
-    points: tuple[Fraction, ...]
+    Held as integers: `ints` are the points times `scale`, sorted and
+    distinct.  The constructor sorts and deduplicates them and divides out
+    any common factor, so `scale` is the least common denominator of the
+    points and the window, and equal sets compare equal.
+    """
+
+    scale: int
+    ints: tuple[int, ...]
     window: Fraction
 
     def __post_init__(self) -> None:
         w = as_fraction(self.window)
-        pts = tuple(sorted({as_fraction(p) for p in self.points}))
-        if Fraction(0) not in pts:
+        scale = self.scale
+        if scale < 1 or scale % w.denominator:
+            raise ValueError("scale must be a positive multiple of den(window)")
+        ints = sorted(set(self.ints))
+        if 0 not in ints:
             raise ValueError("0 must belong to the point set")
-        if any(abs(p) > w for p in pts):
+        top = w.numerator * (scale // w.denominator)
+        if ints[0] < -top or ints[-1] > top:
             raise ValueError("points must lie in [-window, window]")
-        object.__setattr__(self, "points", pts)
+        g = math.gcd(scale, top, *ints)
+        if g > 1:
+            scale //= g
+            ints = [x // g for x in ints]
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "window", w)
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ints)
 
     @staticmethod
     def from_periodic(pset: PeriodicSet, window: object) -> "FiniteSpectrumWindow":
         w = as_fraction(window)
-        return FiniteSpectrumWindow(pset.points_in_window(w), w)
+        return FiniteSpectrumWindow(*pset.scaled_window(w), w)
 
     @staticmethod
     def from_points(points: Iterable[object], window: object) -> "FiniteSpectrumWindow":
-        return FiniteSpectrumWindow(tuple(as_fraction(p) for p in points), window)
+        w = as_fraction(window)
+        pts = [as_fraction(p) for p in points]
+        scale = math.lcm(w.denominator, *(p.denominator for p in pts))
+        ints = [p.numerator * (scale // p.denominator) for p in pts]
+        return FiniteSpectrumWindow(scale, ints, w)
 
 
 @dataclass(frozen=True)
@@ -142,33 +198,26 @@ class OrthogonalityReport:
         }
 
 
-def _scaled(points: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(L, [p*L]) with L the lcm of the points' denominators."""
-    points = list(points)
-    scale = math.lcm(*(p.denominator for p in points))
-    return scale, [p.numerator * (scale // p.denominator) for p in points]
-
-
 def check_orthogonality(
     omega: IntervalUnion, spectrum: FiniteSpectrumWindow
 ) -> OrthogonalityReport:
     """Every difference of distinct points must lie in the Fourier zero set.
 
-    Scaled by L, points in one class mod q*L differ by a multiple of q, so
-    orthogonality is decided on the pairs of classes; only a violation
-    scans the pairs (i, j) in order, to name the first one.
+    Scaled by L = spectrum.scale, points in one class mod q*L differ by a
+    multiple of q, so orthogonality is decided on the pairs of classes;
+    only a violation scans the pairs (i, j) in order, to name the first one.
     """
-    pts = spectrum.points
-    scale, ints = _scaled(pts)
+    scale, ints = spectrum.scale, spectrum.ints
     period, member = residue_member(omega, scale)
     classes = sorted({x % period for x in ints})
     violation = None
     if not all(member(b - a) for a, b in itertools.combinations(classes, 2)):
-        violation = next(
-            (pts[i], pts[j])
-            for i, j in itertools.combinations(range(len(pts)), 2)
+        i, j = next(
+            (i, j)
+            for i, j in itertools.combinations(range(len(ints)), 2)
             if not member(ints[j] - ints[i])
         )
+        violation = (Fraction(ints[i], scale), Fraction(ints[j], scale))
     return OrthogonalityReport(violation is None, spectrum.window, violation)
 
 
@@ -431,13 +480,16 @@ def ap_extension_check(omega: IntervalUnion, d: object, window_k: int) -> bool:
 
     Precondition failures raise; a False return is a counterexample flag for
     the completion property itself.  Each kd is one `in_zero_set` query,
-    one integer kernel call, or none when kd is a multiple of q.
+    one integer kernel call, or none when kd is a multiple of q.  A window
+    K above MAX_AP_K raises WorkLimitError before any query.
     """
     d = as_fraction(d)
     if d <= 0:
         raise PreconditionError("d must be positive")
     if window_k < 1:
         raise PreconditionError("the window K must be positive")
+    if window_k > MAX_AP_K:
+        raise WorkLimitError(f"the window K = {window_k} exceeds the limit {MAX_AP_K}")
     n = len(omega.pieces)
     for k in range(2 * n):
         if not in_zero_set(omega, k * d):
@@ -445,7 +497,8 @@ def ap_extension_check(omega: IntervalUnion, d: object, window_k: int) -> bool:
                 f"progression point {k}*d is not in the zero set"
             )
     for k in range(1, window_k + 1):
-        if not in_zero_set(omega, k * d) or not in_zero_set(omega, -k * d):
+        lam = k * d
+        if not in_zero_set(omega, lam) or not in_zero_set(omega, -lam):
             return False
     return True
 
@@ -483,9 +536,12 @@ def spectrum_ap_extension(
     if d <= 0:
         raise PreconditionError("d must be positive")
     n = len(omega.pieces)
-    pts = spectrum.points
-    scale, ints = _scaled((*pts, a, d, spectrum.window))
-    *ints, a_int, d_int, w = ints
+    scale = math.lcm(spectrum.scale, a.denominator, d.denominator)
+    lift = scale // spectrum.scale
+    ints = [x * lift for x in spectrum.ints]
+    a_int = a.numerator * (scale // a.denominator)
+    d_int = d.numerator * (scale // d.denominator)
+    w = spectrum.window.numerator * (scale // spectrum.window.denominator)
     present = set(ints)
     for k in range(2 * n):
         if a_int + k * d_int not in present:
@@ -503,7 +559,9 @@ def spectrum_ap_extension(
         rx = x % period
         bad = [i for c, i in first.items() if c != rx and not member(c - rx)]
         if bad:
-            return SpectrumApReport(False, (Fraction(x, scale), pts[min(bad)]))
+            return SpectrumApReport(
+                False, (Fraction(x, scale), Fraction(ints[min(bad)], scale))
+            )
         x += d_int
     return SpectrumApReport(True, None)
 
@@ -561,7 +619,8 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
 
     Preconditions: measure 1, three pieces, 0..5d in the zero set, lam in
     the zero set but not in dZ, and every kd - lam (k = 0..5) in the zero
-    set so the six-equation system actually holds.
+    set so the six-equation system actually holds.  A case the analysis
+    proves impossible raises InvariantError.
     """
     d = as_fraction(d)
     lam = as_fraction(lam)
@@ -602,7 +661,7 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
         witness = []
         for i, j in pairing.pairs:
             if xis[i] != xis[j]:
-                raise ArithmeticError(
+                raise InvariantError(
                     "invertible node system left a nonzero coefficient"
                 )
             witness.append((i, j, xis[i].exponent))
@@ -618,7 +677,7 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
         )
         (_, (ri, rj)) = single[0]
         if xis[ri] != xis[rj]:
-            raise ArithmeticError("isolated node kept a nonzero coefficient")
+            raise InvariantError("isolated node kept a nonzero coefficient")
         p_plus, p_minus = plus_minus(pi, pj)
         q_plus, q_minus = plus_minus(qi, qj)
         quad = CycloSum.from_pairs(
@@ -630,7 +689,7 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
             )
         )
         if not quad.is_zero():
-            raise ArithmeticError("shared-node cancellation failed")
+            raise InvariantError("shared-node cancellation failed")
         shapes = []
         if xis[p_plus] == xis[p_minus] and xis[q_plus] == xis[q_minus]:
             shapes.append("within-pairs")
@@ -642,7 +701,7 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
         ):
             shapes.append("antipodal")
         if not shapes:
-            raise ArithmeticError("four-term cancellation without a known shape")
+            raise InvariantError("four-term cancellation without a known shape")
         return RankReport(2, "paired-cancellation", pairing, tuple(shapes))
 
     # rank 1: equal cells
@@ -653,7 +712,7 @@ def rank_case(omega: IntervalUnion, d: object, lam: object) -> RankReport:
         l = d * (a - a1)
         kk = d * r
         if l % 1 != 0 or kk % 1 != 0:
-            raise ArithmeticError("equal-node case produced non-integer cells")
+            raise InvariantError("equal-node case produced non-integer cells")
         ls.append(int(l))
         ks.append(int(kk))
     d_int = sum(ks)

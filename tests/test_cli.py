@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from spectile import vansum, ztiling
+from spectile import spectra, vansum, ztiling
 from spectile.cli import build_parser, main, run
+from spectile.errors import ClassificationError, InvariantError
 
 
 def run_cli(args, capsys):
@@ -267,6 +268,50 @@ def test_verify_weight6_order_beyond_the_work_limit_is_an_input_error(capsys):
     code, rep = run_cli(["verify-weight6", "--order", order], capsys)
     assert code == 2
     assert rep == {"error": f"order bound {order} exceeds the limit 60"}
+
+
+_UNIT3_OMEGA = '{"pieces":[[["0","1"],["1","1"]],[["2","1"],["1","1"]],[["4","1"],["1","1"]]]}'
+_UNIT3_SPECTRUM = '{"period":["1","1"],"cosets":[["0","1"],["1","3"],["2","3"]]}'
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["ortho", "--omega", _UNIT3_OMEGA, "--spectrum", _UNIT3_SPECTRUM,
+          "--window", "1000000000"], spectra.MAX_WINDOW_POINTS),
+        (["ap", "--omega", _UNIT3_OMEGA, "--spectrum", _UNIT3_SPECTRUM,
+          "--difference", "1", "--window", "1000000000"], spectra.MAX_WINDOW_POINTS),
+        (["ap", "--omega", _UNIT3_OMEGA, "--difference", "1", "--K", "1000000000"],
+         spectra.MAX_AP_K),
+    ],
+    ids=["ortho-window", "ap-spectrum-window", "ap-K"],
+)
+def test_windows_and_K_beyond_the_work_limit_are_input_errors(args, limit, capsys):
+    start = time.monotonic()
+    code, rep = run_cli(args, capsys)
+    assert time.monotonic() - start < 1
+    assert code == 2 and str(limit) in rep["error"]
+
+
+def test_a_broken_rank_case_invariant_is_reported_as_refuted(monkeypatch, capsys):
+    def broken(*args):
+        raise InvariantError("shared-node cancellation failed")
+
+    monkeypatch.setattr(spectra, "rank_case", broken)
+    code, rep = run_cli(["rank", "--omega", _THIRDS, "--difference", "3",
+                         "--frequency", "1/3"], capsys)
+    assert (code, rep) == (1, {"error": "shared-node cancellation failed"})
+
+
+def test_a_sum_outside_the_trichotomy_is_reported_as_refuted(monkeypatch, capsys):
+    def broken(vec):
+        raise ClassificationError("vanishing six-term sum outside the three known shapes")
+
+    monkeypatch.setattr(vansum, "classify", broken)
+    vector = '{"terms": [[1, "0"], [-1, "0"], [1, "1/3"], [-1, "1/3"], [1, "1/2"], [-1, "1/2"]]}'
+    code, rep = run_cli(["vansum-classify", "--vector", vector], capsys)
+    assert (code, rep) == (
+        1, {"error": "vanishing six-term sum outside the three known shapes"})
 
 
 def test_zeroset_at_a_large_prime_order(capsys):

@@ -281,3 +281,30 @@ def test_residue_member_matches_in_zero_set():
         for _ in range(40):
             m = rng.randint(-2000, 2000)
             assert member(m) == boundary_sum(om, Fraction(m, scale)).is_zero()
+
+
+@st.composite
+def touching_union_and_frequency(draw):
+    # pieces on (1/q)Z whose gaps are often 0, so that pieces touch
+    q = draw(st.integers(1, 12))
+    cursor = draw(st.integers(-3 * q, 3 * q))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 2 * q))
+        pieces.append((Fraction(cursor, q), Fraction(length, q)))
+        cursor += length + draw(st.one_of(st.just(0), st.integers(0, 3 * q)))
+    draw(st.randoms()).shuffle(pieces)
+    lam = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 24)))
+    return pieces, lam
+
+
+@given(touching_union_and_frequency())
+def test_integer_endpoints_map_back_to_the_pieces(case):
+    pieces, lam = case
+    om = IntervalUnion.from_pieces(pieces)
+    q = om.endpoint_denominator()
+    assert q == math.lcm(*(x.denominator for piece in pieces for x in piece))
+    assert om.pieces == tuple(sorted(pieces))
+    assert tuple((Fraction(left, q), Fraction(right - left, q))
+                 for left, right in om._ends) == om.pieces
+    assert in_zero_set(om, lam) == boundary_sum(om, lam).is_zero()

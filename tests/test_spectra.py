@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from spectile import spectra
 from spectile.cyclotomic import RootOfUnity
-from spectile.errors import NoGoodPairingError, PreconditionError
+from spectile.errors import NoGoodPairingError, PreconditionError, WorkLimitError
 from spectile.intervals import IntervalUnion, boundary_sum, d_tiles, in_zero_set
 from spectile.spectra import (
     FiniteSpectrumWindow,
@@ -588,3 +589,109 @@ def test_spectrum_ap_extension_matches_pairwise_loop():
                 [p for p in spec.points if p != hole], spec.window)
         got = _outcome(spectrum_ap_extension, om, spec, start, d)
         assert got == _outcome(reference_spectrum_ap_extension, om, spec, start, d)
+
+
+# ---------------------------------------------------------------------------
+# the integer window form against Fraction points
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_spectral_pair(om, pset, window):
+    # Fraction points from the shift loop, every pair in order, each
+    # difference asked of in_zero_set: the first violation is named
+    pts = reference_points_in_window(pset, window)
+    member = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        diff = pts[j] - pts[i]
+        if diff not in member:
+            member[diff] = in_zero_set(om, diff)
+        if not member[diff]:
+            return False, (pts[i], pts[j])
+    return True, None
+
+
+def test_verify_spectral_pair_matches_the_fraction_reference():
+    rng = random.Random(91)
+    cases = [construct_unit3_pair(j, rng.randint(-2, 2), rng.randint(-2, 2))
+             for j in (0, 1, 2) for _ in range(2)]
+    cases += [construct_unit4_pair(l, rng.choice((-3, -1, 1, 3)), rng.choice((-1, 1, 3)))
+              for l in (1, 2, 3) for _ in range(2)]
+    cases += [construct_half_pair(n, k, k0, r) for n, k, k0, r in (
+        (1, 1, 1, F(1, 4)), (3, 9, 3, F(1, 3)), (2, 6, 2, F(1, 5)), (6, 18, 2, F(1, 6)),
+        (5, 15, 5, F(2, 7)))]
+    checked = {True: 0, False: 0}
+    for omega, pset in cases:
+        v = rng.choice((5, 7, 11))
+        perturbed = PeriodicSet(pset.period,
+                                pset.cosets + (pset.period * F(rng.randrange(1, v), v),))
+        windows = (12, 24, F(rng.randint(1, 60), rng.randint(1, 6)))
+        for spectrum, window in itertools.product((pset, perturbed), windows):
+            rep = verify_spectral_pair(omega, spectrum, window)
+            assert rep.window == window
+            expected = reference_verify_spectral_pair(omega, spectrum, window)
+            assert (rep.orthogonal, rep.violation) == expected
+            assert rep.density_matches == (spectrum.density == omega.measure)
+            checked[rep.orthogonal] += 1
+    assert checked[True] > 20 and checked[False] > 20
+
+
+def test_from_points_sorts_and_deduplicates_to_the_periodic_window():
+    rng = random.Random(92)
+    for _ in range(200):
+        period = F(rng.randint(1, 12), rng.randint(1, 6))
+        cosets = [F(0)] + [F(rng.randint(-20, 20), rng.randint(1, 9))
+                           for _ in range(rng.randint(0, 3))]
+        pset = PeriodicSet(period, tuple(cosets))
+        window = F(rng.randint(0, 30), rng.randint(1, 4))
+        points = list(reference_points_in_window(pset, window))
+        shuffled = points + rng.sample(points, len(points) // 2)
+        rng.shuffle(shuffled)
+        win = FiniteSpectrumWindow.from_points(shuffled, window)
+        assert win == FiniteSpectrumWindow.from_periodic(pset, window)
+        assert win.points == tuple(points)
+        assert win.scale == math.lcm(window.denominator, *(p.denominator for p in points))
+    with pytest.raises(ValueError, match="0 must belong to the point set"):
+        FiniteSpectrumWindow.from_points([F(1, 2), 1], 2)
+    with pytest.raises(ValueError, match=r"points must lie in \[-window, window\]"):
+        FiniteSpectrumWindow.from_points([0, F(5, 2)], 2)
+
+
+def test_scaled_window_counts_its_points_before_building_them(monkeypatch):
+    rng = random.Random(93)
+    for _ in range(300):
+        period = F(rng.randint(1, 12), rng.randint(1, 6))
+        cosets = [F(0)] + [F(rng.randint(-20, 20), rng.randint(1, 9))
+                           for _ in range(rng.randint(0, 3))]
+        pset = PeriodicSet(period, tuple(cosets))
+        window = F(rng.randint(-3, 30), rng.randint(1, 4))
+        count = len(reference_points_in_window(pset, window))
+        monkeypatch.setattr(spectra, "MAX_WINDOW_POINTS", count)
+        scale, ints = pset.scaled_window(window)
+        assert tuple(F(x, scale) for x in ints) == reference_points_in_window(pset, window)
+        if count:
+            monkeypatch.setattr(spectra, "MAX_WINDOW_POINTS", count - 1)
+            with pytest.raises(WorkLimitError, match=f"holds {count} points"):
+                pset.scaled_window(window)
+
+
+def test_a_window_beyond_the_point_limit_is_refused_at_once():
+    pset = PeriodicSet(F(1), (F(0), F(1, 3), F(2, 3)))
+    omega = IntervalUnion.from_unit_cells([0, 2, 4])
+    for window in (10**9, 10**30):
+        with pytest.raises(WorkLimitError, match=str(spectra.MAX_WINDOW_POINTS)):
+            verify_spectral_pair(omega, pset, window)
+    # points k/3 with |k| <= (MAX_WINDOW_POINTS - 1)/2: one below the limit
+    reach = F(spectra.MAX_WINDOW_POINTS - 1, 6)
+    assert len(pset.scaled_window(reach)[1]) == spectra.MAX_WINDOW_POINTS - 1
+
+
+def test_ap_extension_check_beyond_the_k_limit_is_refused_before_its_loop(monkeypatch):
+    omega = IntervalUnion.from_unit_cells([0, 2, 4])
+    calls = []
+    monkeypatch.setattr(spectra, "in_zero_set",
+                        lambda om, lam: calls.append(lam) or in_zero_set(om, lam))
+    with pytest.raises(WorkLimitError, match=str(spectra.MAX_AP_K)):
+        ap_extension_check(omega, F(1, 3), spectra.MAX_AP_K + 1)
+    assert calls == []
+    assert ap_extension_check(omega, F(1, 3), 40)
+    assert len(calls) == 2 * 3 + 2 * 40
